@@ -37,6 +37,7 @@ from .tensor import (
     backward,
     concat,
     matmul,
+    mean_of_scalars,
     mse,
     mul,
     no_grad,

@@ -26,8 +26,7 @@ from .data import DatasetSchema, MaskedSample
 from .metrics import MetricSet, compute_metrics
 from .nn import MLP, Dense
 from .rng import SeededRng
-from .setnet import mean_of_scalars
-from .tensor import Tensor, no_grad, reduce, relu, softmax, softmax_cross_entropy, stack
+from .tensor import Tensor, no_grad, reduce, softmax, softmax_cross_entropy, stack
 from .trainer import TrainConfig, _train_loop
 
 _fill_count = 0

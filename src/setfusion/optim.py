@@ -1,4 +1,17 @@
-"""Bias-corrected Adam on named parameter tensors."""
+"""Bias-corrected Adam over one flat buffer that owns its parameters' storage.
+
+At construction `Adam` copies every parameter's values into one
+contiguous float64 buffer, `flat`, and rebinds each `p.data` to a
+reshaped view of its slice: values and shapes are unchanged, and an
+in-place write to `p.data` or to `flat` is seen by both. A step then
+gathers the leaf gradients into a matching buffer and updates all
+parameters with a fixed sequence of whole-buffer in-place ufuncs.
+
+A second optimizer built over the same tensors takes their storage
+over: it copies their current values into its own buffer and rebinds
+`p.data` again, after which the first optimizer's steps no longer
+reach those tensors.
+"""
 
 from __future__ import annotations
 
@@ -36,8 +49,21 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in named_params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in named_params.items()}
+        params = self.params
+        self.flat = np.empty(sum(p.data.size for p in params))
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
+        self._grad_views = []
+        offset = 0
+        for p in params:
+            end = offset + p.data.size
+            view = self.flat[offset:end].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._grad_views.append(self._grad[offset:end].reshape(view.shape))
+            offset = end
 
     @property
     def params(self) -> list[Tensor]:
@@ -49,25 +75,32 @@ class Adam:
                 raise ContractError(f"adam step would update frozen parameter '{name}'")
             if p.grad is None:
                 raise ContractError(f"parameter '{name}' has no gradient")
+        for p, view in zip(self.named_params.values(), self._grad_views):
+            view[...] = p.grad
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         # lr (m / bc1) / (sqrt(v / bc2) + eps) rewritten with scalar
-        # prefactors so each parameter costs one sqrt and one divide
+        # prefactors so each element costs one sqrt and one divide
         step_size = self.lr * math.sqrt(bc2) / bc1
         denom_eps = self.epsilon * math.sqrt(bc2)
-        for name, p in self.named_params.items():
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            denom = np.sqrt(v)
-            denom += denom_eps
-            p.data -= step_size * (m / denom)
-            p.grad = None
+        g, m, v, s = self._grad, self._m, self._v, self._scratch
+        # per element, in this order: m = b1*m + (1-b1)*g;
+        # v = b2*v + (1-b2)*(g*g); p -= step_size * (m / (sqrt(v) + denom_eps)).
+        # Reordering these operations changes results in the last bits.
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1.0 - self.beta2, out=s)
+        np.add(v, s, out=v)
+        np.sqrt(v, out=s)
+        np.add(s, denom_eps, out=s)
+        np.divide(m, s, out=s)
+        np.multiply(s, step_size, out=s)
+        np.subtract(self.flat, s, out=self.flat)
+        self.zero_grad()
 
     def zero_grad(self) -> None:
         for p in self.named_params.values():

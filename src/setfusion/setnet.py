@@ -18,7 +18,7 @@ from .errors import ContractError
 from .hypernet import ModalityId
 from .nn import Dense
 from .rng import SeededRng
-from .tensor import Tensor, reduce, relu, softmax, softmax_cross_entropy, stack
+from .tensor import Tensor, mean_of_scalars, reduce, relu, softmax, softmax_cross_entropy, stack
 
 AGGREGATOR_KINDS = ("sum", "mean", "max")
 
@@ -124,18 +124,3 @@ def phase2_loss(
             raise ContractError(f"unlabeled observation '{obs.sample_id}' in training batch")
         losses.append(softmax_cross_entropy(f_forward(model, enc, obs), y))
     return mean_of_scalars(losses)
-
-
-def mean_of_scalars(losses: list[Tensor]) -> Tensor:
-    """Mean of 0d loss tensors as a single differentiable scalar."""
-    if len(losses) == 1:
-        return losses[0]
-    from .tensor import _acc, _make
-
-    def bwd(g):
-        share = g / len(losses)
-        for t in losses:
-            _acc(t, share)
-
-    data = np.asarray(np.mean([t.data for t in losses]))
-    return _make(data, tuple(losses), bwd, "mean_of_scalars")

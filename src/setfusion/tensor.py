@@ -372,6 +372,20 @@ def reduce(x: Tensor, axis: int, kind: str) -> Tensor:
     return _make(np.asarray(out), (x,), bwd, f"reduce_{kind}")
 
 
+def mean_of_scalars(losses: list[Tensor]) -> Tensor:
+    """Mean of 0d loss tensors as a single differentiable scalar."""
+    if len(losses) == 1:
+        return losses[0]
+
+    def bwd(g):
+        share = g / len(losses)
+        for t in losses:
+            _acc(t, share)
+
+    data = np.asarray(np.mean([t.data for t in losses]))
+    return _make(data, tuple(losses), bwd, "mean_of_scalars")
+
+
 def softmax_cross_entropy(logits: Tensor, target_class: int) -> Tensor:
     """Stable cross-entropy of a 1d logit vector against an integer class."""
     logits = as_tensor(logits)

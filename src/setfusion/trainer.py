@@ -23,9 +23,8 @@ from .errors import ContractError, NumericError
 from .metrics import MetricSet, accuracy_only, compute_metrics
 from .optim import Adam
 from .rng import SeededRng
-from .setnet import SetClassifier, SetObservation, f_forward, phase2_loss, predict_proba
-from .setnet import mean_of_scalars
-from .tensor import Tensor, no_grad
+from .setnet import SetClassifier, SetObservation, phase2_loss, predict_proba
+from .tensor import Tensor, mean_of_scalars, no_grad
 
 
 @dataclass
@@ -60,6 +59,14 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("max_epochs_phase1", "max_epochs_phase2", "d_z", "d_l", "backbone_hidden",
+                     "decoder_hidden", "embed_dim", "hyper_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if len(self.rho_hidden) != 2 or min(self.rho_hidden) < 1:
+            raise ValueError(
+                f"rho_hidden must be exactly two positive widths, got {self.rho_hidden}"
+            )
 
     def encoder_config(self, schema: DatasetSchema) -> EncoderConfig:
         return EncoderConfig(
@@ -158,15 +165,6 @@ def collect_phase1_items(
     return items
 
 
-def _snapshot(named_params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in named_params.items()}
-
-
-def _restore(named_params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -> None:
-    for name, p in named_params.items():
-        p.data[...] = snapshot[name]
-
-
 def _train_loop(
     named_params: dict[str, Tensor],
     item_loss,
@@ -183,7 +181,7 @@ def _train_loop(
     opt = Adam(named_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon)
     stopper = EarlyStopper(cfg.patience)
     report = PhaseReport()
-    best = _snapshot(named_params)
+    best = opt.flat.copy()
 
     for epoch in range(1, max_epochs + 1):
         order = shuffle_rng.permutation(len(train_items))
@@ -202,12 +200,12 @@ def _train_loop(
         report.train_losses.append(train_loss)
         report.val_losses.append(val_loss)
         if stopper.update(epoch, val_loss):
-            best = _snapshot(named_params)
+            best = opt.flat.copy()
         report.stopped_epoch = epoch
         if stopper.should_stop:
             break
 
-    _restore(named_params, best)
+    opt.flat[...] = best
     report.best_epoch = stopper.best_epoch
     return report
 
@@ -233,10 +231,6 @@ def train_phase1(
     )
 
 
-def freeze(enc: Encoder) -> Encoder:
-    return enc.freeze()
-
-
 def train_phase2(
     model: SetClassifier,
     enc: Encoder,
@@ -246,7 +240,7 @@ def train_phase2(
 ) -> PhaseReport:
     """Fit the set classifier over a frozen encoder."""
     if not enc.frozen:
-        raise ContractError("phase 2 requires a frozen encoder; call freeze(enc) first")
+        raise ContractError("phase 2 requires a frozen encoder; call enc.freeze() first")
 
     def item_loss(obs):
         return phase2_loss(model, enc, [(obs, obs.label)])
@@ -337,7 +331,7 @@ def run_full(
             collect_phase1_items(val, schema),
             cfg,
         )
-        freeze(enc)
+        enc.freeze()
         checksum_before = parameter_checksum(enc.named_parameters())
         p2 = train_phase2(model, enc, train_sets, val_sets, cfg)
         checksum_after = parameter_checksum(enc.named_parameters())

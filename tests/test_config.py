@@ -1,0 +1,43 @@
+import pytest
+
+from setfusion.config import default_config, default_config_text, dump_config, parse_config
+from setfusion.errors import ConfigError
+
+
+def with_value(section: str, key: str, value: str) -> str:
+    """The default config text with one key of one section replaced."""
+    lines, current = [], None
+    for line in default_config_text().splitlines():
+        stripped = line.strip()
+        if stripped.startswith("["):
+            current = stripped[1:-1]
+        elif current == section and stripped.split("=")[0].strip() == key:
+            line = f"{key} = {value}"
+        lines.append(line)
+    text = "\n".join(lines)
+    assert text != default_config_text().rstrip("\n"), f"no key {key} in [{section}]"
+    return text
+
+
+def test_default_config_round_trips():
+    cfg = default_config()
+    assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("widths", ["32,16,8", "32", "32,0"])
+def test_rho_hidden_must_be_two_positive_widths(widths):
+    with pytest.raises(ConfigError, match="rho_hidden"):
+        parse_config(with_value("model", "rho_hidden", widths))
+
+
+@pytest.mark.parametrize("section", ["phase1", "phase2"])
+def test_zero_epoch_budget_rejected(section):
+    with pytest.raises(ConfigError, match=f"max_epochs_{section}"):
+        parse_config(with_value(section, "max_epochs", "0"))
+
+
+@pytest.mark.parametrize("key", ["d_z", "d_l", "backbone_hidden", "decoder_hidden",
+                                 "embed_dim", "hyper_hidden"])
+def test_zero_model_width_rejected(key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(with_value("model", key, "0"))

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from setfusion.errors import ContractError
 from setfusion.optim import Adam
@@ -66,6 +71,103 @@ class TestAdamStep:
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
             Adam({"w": make_param([1.0])}, lr=0.0)
+
+
+def reference_adam(values, grad_steps, lr, beta1, beta2, epsilon):
+    """The per-tensor Adam loop the flat update must reproduce bitwise."""
+    values = {k: v.copy() for k, v in values.items()}
+    m = {k: np.zeros_like(v) for k, v in values.items()}
+    v_ = {k: np.zeros_like(v) for k, v in values.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        step_size = lr * math.sqrt(bc2) / bc1
+        denom_eps = epsilon * math.sqrt(bc2)
+        for k, g in grads.items():
+            m[k] *= beta1
+            m[k] += (1.0 - beta1) * g
+            v_[k] *= beta2
+            v_[k] += (1.0 - beta2) * (g * g)
+            denom = np.sqrt(v_[k])
+            denom += denom_eps
+            values[k] -= step_size * (m[k] / denom)
+    return values
+
+
+SHAPES = st.lists(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5), min_size=1, max_size=4)
+FLOATS = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+class TestFlatStorage:
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=SHAPES, steps=st.integers(1, 4), lr=st.sampled_from([1e-4, 1e-2, 0.3]),
+           data=st.data())
+    def test_steps_match_per_tensor_reference_bitwise(self, shapes, steps, lr, data):
+        values = {f"p{i}": data.draw(hnp.arrays(np.float64, s, elements=FLOATS))
+                  for i, s in enumerate(shapes)}
+        grad_steps = [
+            {k: data.draw(hnp.arrays(np.float64, v.shape, elements=FLOATS)) for k, v in values.items()}
+            for _ in range(steps)
+        ]
+        params = {k: make_param(v, name=k) for k, v in values.items()}
+        opt = Adam(params, lr=lr)
+        for grads in grad_steps:
+            for k, g in grads.items():
+                params[k].grad = g.copy()
+            opt.step()
+        expected = reference_adam(values, grad_steps, lr, 0.9, 0.999, 1e-8)
+        for k, p in params.items():
+            assert p.data.tobytes() == expected[k].tobytes()
+
+    def test_parameters_become_views_of_the_buffer(self):
+        w = make_param(np.arange(6.0).reshape(2, 3), name="w")
+        b = make_param([7.0, 8.0], name="b")
+        opt = Adam({"w": w, "b": b})
+        assert w.shape == (2, 3) and b.shape == (2,)
+        np.testing.assert_array_equal(w.data, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(opt.flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+        assert np.shares_memory(w.data, opt.flat) and np.shares_memory(b.data, opt.flat)
+        w.data[1, 2] = -1.0
+        b.data[...] = 0.5
+        np.testing.assert_array_equal(opt.flat, [0.0, 1.0, 2.0, 3.0, 4.0, -1.0, 0.5, 0.5])
+
+    def test_second_optimizer_takes_the_storage_over(self):
+        w = make_param([1.0, 2.0])
+        first = Adam({"w": w}, lr=0.1)
+        second = Adam({"w": w}, lr=0.1)
+        assert np.shares_memory(w.data, second.flat)
+        assert not np.shares_memory(w.data, first.flat)
+        w.grad = np.ones(2)
+        second.step()
+        np.testing.assert_array_equal(first.flat, [1.0, 2.0])
+        assert w.data[0] < 1.0
+
+    @pytest.mark.parametrize("fault", ["missing_grad", "frozen"])
+    def test_failed_precondition_updates_nothing(self, fault):
+        w = make_param([[1.0, -2.0], [0.5, 3.0]], name="w")
+        b = make_param([0.25], name="b")
+        opt = Adam({"w": w, "b": b}, lr=0.1)
+        w.grad, b.grad = np.ones((2, 2)), np.ones(1)
+        opt.step()
+        state = [a.tobytes() for a in (opt.flat, opt._m, opt._v)]
+        w.grad = np.full((2, 2), 2.0)
+        if fault == "missing_grad":
+            b.grad = None
+        else:
+            b.grad = np.ones(1)
+            b.requires_grad = False
+        with pytest.raises(ContractError, match="'b'"):
+            opt.step()
+        assert [a.tobytes() for a in (opt.flat, opt._m, opt._v)] == state
+        assert opt.t == 1
+
+    def test_zero_grad_clears_every_gradient(self):
+        params = {k: make_param(np.ones(s), name=k) for k, s in (("a", 3), ("b", (2, 2)))}
+        opt = Adam(params)
+        for p in params.values():
+            p.grad = np.ones(p.shape)
+        opt.zero_grad()
+        assert all(p.grad is None for p in params.values())
 
 
 class TestAdamOnRealLoss:

@@ -12,6 +12,7 @@ from setfusion.tensor import (
     add,
     concat,
     matmul,
+    mean_of_scalars,
     mse,
     mul,
     no_grad,
@@ -155,6 +156,21 @@ class TestReduce:
         mean = reduce(x, 0, "mean").item()
         assert abs(total - mean * len(values)) < 1e-9 * max(1.0, abs(total))
 
+
+
+class TestMeanOfScalars:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient(self, seed):
+        rng = SeededRng((seed, "mean_of_scalars"))
+        x0 = rng.normal(4)
+        other = Tensor(rng.normal(4))
+
+        def loss(x):
+            return mean_of_scalars(
+                [reduce(mul(x, x), 0, "sum"), reduce(mul(x, other), 0, "mean"), reduce(x, 0, "max")]
+            )
+
+        assert check_gradient(loss, x0) < 1e-4
 
 class TestSoftmaxCrossEntropy:
     def test_saturated_logits_are_stable(self):

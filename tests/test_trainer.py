@@ -10,7 +10,6 @@ from setfusion.trainer import (
     EarlyStopper,
     TrainConfig,
     collect_phase1_items,
-    freeze,
     run_full,
     train_phase1,
     train_phase2,
@@ -158,7 +157,7 @@ class TestPhase2:
 
         schema, _ = tiny_dataset(n=10)
         cfg = small_cfg()
-        enc = freeze(Encoder(cfg.encoder_config(schema), SeededRng(0)))
+        enc = Encoder(cfg.encoder_config(schema), SeededRng(0)).freeze()
         model = SetClassifier(cfg.d_l, 2, SeededRng(1), hidden=cfg.rho_hidden)
         opt = Adam(model.named_parameters(), lr=cfg.lr)
         encoder_tensors = {id(p) for p in enc.named_parameters().values()}
@@ -170,7 +169,7 @@ class TestPhase2:
         schema, masked = tiny_dataset(n=50, rate=0.5, seed=7)
         cfg = small_cfg(seed=7, max_epochs_phase2=8)
         enc = Encoder(cfg.encoder_config(schema), SeededRng(7))
-        freeze(enc)
+        enc.freeze()
         before = parameter_checksum(enc.named_parameters())
         model = SetClassifier(cfg.d_l, 2, SeededRng(8), hidden=cfg.rho_hidden)
         sets = [to_set(s, schema) for s in masked]
