@@ -29,6 +29,7 @@ from .setnet import (
     aggregate,
     f_forward,
     phase2_loss,
+    pool_set,
     predict_proba,
 )
 from .tensor import (

@@ -7,10 +7,12 @@ format tag plus run metadata (frozen flag, aggregator, config text).
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
+from .binio import Reader
 from .errors import DataFormatError
 
 MAGIC = b"SFCK"
@@ -30,7 +32,7 @@ def save_checkpoint(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
         fh.write(blob)
         fh.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+            arr = np.asarray(arrays[name], dtype="<f8")  # tobytes() writes C order; 0-d stays 0-d
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -42,25 +44,21 @@ def save_checkpoint(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        if header.get("format_tag") != FORMAT_TAG:
-            raise DataFormatError(f"{path}: unexpected format tag {header.get('format_tag')!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            size = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * size)
-            if len(raw) != 8 * size:
-                raise DataFormatError(f"{path}: truncated tensor record '{name}'")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").copy().reshape(shape)
+        blob = fh.read()
+    if blob[:4] != MAGIC:
+        raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
+    rd = Reader(blob, path, start=4)
+    version = rd.unpack("<I", "format version")
+    if version != FORMAT_VERSION:
+        raise rd.error(f"unsupported checkpoint version {version}")
+    header = rd.json_object(rd.unpack("<I", "header length"), "header")
+    if header.get("format_tag") != FORMAT_TAG:
+        raise rd.error(f"unexpected format tag {header.get('format_tag')!r}")
+    arrays: dict[str, np.ndarray] = {}
+    for _ in range(rd.unpack("<I", "tensor count")):
+        name = rd.text(rd.unpack("<H", "tensor name length"), "tensor name")
+        ndim = rd.unpack("<B", f"rank of tensor '{name}'")
+        shape = tuple(rd.unpack("<I", f"shape of tensor '{name}'") for _ in range(ndim))
+        arrays[name] = rd.floats(math.prod(shape), f"tensor record '{name}'").reshape(shape)
+    rd.finish()
     return header, arrays

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import Reader
 from .errors import DataFormatError
 from .hypernet import ModalityId
 from .rng import SeededRng
@@ -252,13 +253,6 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_array(fh, r: int) -> np.ndarray:
-    raw = fh.read(8 * r)
-    if len(raw) != 8 * r:
-        raise DataFormatError("truncated payload record")
-    return np.frombuffer(raw, dtype="<f8").copy()
-
-
 def save_dataset(path, schema: DatasetSchema, samples: list[MaskedSample]) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -286,31 +280,39 @@ def save_dataset(path, schema: DatasetSchema, samples: list[MaskedSample]) -> No
 
 def load_dataset(path) -> tuple[DatasetSchema, list[MaskedSample]]:
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise DataFormatError(f"{path}: not a dataset container (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise DataFormatError(f"{path}: unsupported dataset format version {version}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        schema = DatasetSchema.from_dict(json.loads(fh.read(blob_len).decode("utf-8")))
-        (n,) = struct.unpack("<I", fh.read(4))
-        d, r = schema.num_modalities, schema.payload_width
-        samples = []
-        for _ in range(n):
-            (sid_len,) = struct.unpack("<H", fh.read(2))
-            sid = fh.read(sid_len).decode("utf-8")
-            (label,) = struct.unpack("<i", fh.read(4))
-            mask = np.frombuffer(fh.read(d), dtype=np.uint8).copy()
-            slots = []
-            for i in range(d):
-                if mask[i]:
-                    slots.append(None)
-                elif schema.is_bag(i):
-                    (count,) = struct.unpack("<I", fh.read(4))
-                    slots.append([_read_array(fh, r) for _ in range(count)])
-                else:
-                    slots.append(_read_array(fh, r))
-            samples.append(MaskedSample(slots=slots, label=label, mask=mask, sample_id=sid))
+        blob = fh.read()
+    if blob[:4] != MAGIC:
+        raise DataFormatError(f"{path}: not a dataset container (bad magic)")
+    rd = Reader(blob, path, start=4)
+    version = rd.unpack("<I", "format version")
+    if version != FORMAT_VERSION:
+        raise rd.error(f"unsupported dataset format version {version}")
+    header = rd.json_object(rd.unpack("<I", "schema length"), "schema")
+    try:
+        schema = DatasetSchema.from_dict(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise rd.error(f"invalid schema ({exc!r})") from exc
+    d, r = schema.num_modalities, schema.payload_width
+    samples = []
+    for _ in range(rd.unpack("<I", "sample count")):
+        sid = rd.text(rd.unpack("<H", "sample id length"), "sample id")
+        label = rd.unpack("<i", f"label of sample '{sid}'")
+        if not 0 <= label < schema.num_classes:
+            raise rd.error(f"label {label} of sample '{sid}' is not a class of the schema")
+        mask = np.frombuffer(rd.take(d, f"mask of sample '{sid}'"), dtype=np.uint8).copy()
+        if mask.max() > 1:
+            raise rd.error(f"mask of sample '{sid}' holds values other than 0 and 1")
+        slots = []
+        for i in range(d):
+            if mask[i]:
+                slots.append(None)
+            elif schema.is_bag(i):
+                count = rd.unpack("<I", f"bag size of sample '{sid}'")
+                slots.append([rd.floats(r, f"payload of sample '{sid}'") for _ in range(count)])
+            else:
+                slots.append(rd.floats(r, f"payload of sample '{sid}'"))
+        samples.append(MaskedSample(slots=slots, label=label, mask=mask, sample_id=sid))
+    rd.finish()
     return schema, samples
 
 

@@ -91,15 +91,20 @@ class SetClassifier:
         return out
 
 
-def f_forward(model: SetClassifier, enc: Encoder, obs: SetObservation) -> Tensor:
-    """Class logits for one set observation of any size."""
+def pool_set(enc: Encoder, obs: SetObservation, aggregator: str) -> Tensor:
+    """The aggregated latent of one set observation: pool of phi over its elements."""
     feats = []
     for payload, modality in obs.elements:
         if isinstance(payload, (list, tuple)):
             feats.append(enc.pool_instances(list(payload), modality))
         else:
             feats.append(enc.phi_forward(payload, modality))
-    return model.rho(aggregate(feats, model.aggregator))
+    return aggregate(feats, aggregator)
+
+
+def f_forward(model: SetClassifier, enc: Encoder, obs: SetObservation) -> Tensor:
+    """Class logits for one set observation of any size."""
+    return model.rho(pool_set(enc, obs, model.aggregator))
 
 
 def predict_proba(model: SetClassifier, enc: Encoder, obs: SetObservation) -> np.ndarray:

@@ -100,12 +100,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
     """Internal fast constructor for op outputs."""

@@ -3,11 +3,12 @@ a frozen encoder feeding the set classifier.
 
 Stage 1 consumes every observed payload (and every bag instance) as an
 independent (payload, modality, label) item. Stage 2 freezes the
-encoder and optimizes only the classifier on set observations. Both
-stages share one loop: shuffled per-item Adam steps, per-epoch
-validation, early stopping on the validation loss with best-weight
-restore. A joint single-stage mode trains encoder and classifier
-together for ablation comparisons.
+encoder, encodes each set once into its pooled latent, and optimizes
+only the classifier head on those fixed vectors. Both stages share one
+loop: shuffled per-item Adam steps, per-epoch validation, early
+stopping on the validation loss with best-weight restore. A joint
+single-stage mode trains encoder and classifier together for ablation
+comparisons.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import ContractError, NumericError
 from .metrics import MetricSet, accuracy_only, compute_metrics
 from .optim import Adam
 from .rng import SeededRng
-from .setnet import SetClassifier, SetObservation, phase2_loss, predict_proba
-from .tensor import Tensor, mean_of_scalars, no_grad
+from .setnet import SetClassifier, SetObservation, phase2_loss, pool_set, predict_proba
+from .tensor import Tensor, mean_of_scalars, no_grad, softmax_cross_entropy
 
 
 @dataclass
@@ -238,15 +239,30 @@ def train_phase2(
     val_sets: list[SetObservation],
     cfg: TrainConfig,
 ) -> PhaseReport:
-    """Fit the set classifier over a frozen encoder."""
+    """Fit the set classifier over a frozen encoder.
+
+    A frozen encoder makes every set's pooled latent a constant, so each
+    train and validation set is encoded once, here, and the epochs train
+    only `model.rho` on those fixed vectors.
+    """
     if not enc.frozen:
         raise ContractError("phase 2 requires a frozen encoder; call enc.freeze() first")
 
-    def item_loss(obs):
-        return phase2_loss(model, enc, [(obs, obs.label)])
+    def encode(sets):
+        items = []
+        with no_grad():
+            for obs in sets:
+                if obs.label is None:
+                    raise ContractError(f"unlabeled observation '{obs.sample_id}' in phase 2")
+                items.append((pool_set(enc, obs, model.aggregator), obs.label))
+        return items
+
+    def item_loss(item):
+        latent, y = item
+        return softmax_cross_entropy(model.rho(latent), y)
 
     return _train_loop(
-        model.named_parameters(), item_loss, train_sets, val_sets, cfg,
+        model.named_parameters(), item_loss, encode(train_sets), encode(val_sets), cfg,
         cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_phase2")), "phase2",
     )
 

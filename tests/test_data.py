@@ -1,5 +1,12 @@
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setfusion.data import (
     DatasetSchema,
@@ -253,6 +260,63 @@ class TestContainer:
         path = tmp_path / "junk.sfds"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(DataFormatError, match="magic"):
+            load_dataset(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 3), rate=st.sampled_from([0.0, 0.5]), bags=st.sampled_from([(), (1,)]),
+           seed=st.integers(0, 1000))
+    def test_every_truncation_point_raises_data_format_error(self, n, rate, bags, seed):
+        s = schema2(r=2, bags=bags)
+        masked = apply_missingness(generate(s, n=n, seed=seed), rate, "mcar", seed=seed + 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.sfds"
+            save_dataset(path, s, masked)
+            blob = path.read_bytes()
+            cut_path = Path(tmp) / "cut.sfds"
+            for cut in range(len(blob)):
+                cut_path.write_bytes(blob[:cut])
+                with pytest.raises(DataFormatError):
+                    load_dataset(cut_path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "data.sfds"
+        save_dataset(path, schema2(), complete(generate(schema2(), n=3, seed=26)))
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(DataFormatError, match="4 trailing bytes"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("schema, match", [
+        (b"{not json", "not valid JSON"),
+        (b"[]", "not a JSON object"),
+        (b'{"num_modalities": 2}', "invalid schema"),
+        (b'{"num_modalities": 0, "modality_names": [], "payload_width": 2, "num_classes": 2}',
+         "invalid schema"),
+    ])
+    def test_malformed_schema_rejected(self, tmp_path, schema, match):
+        path = tmp_path / "bad.sfds"
+        path.write_bytes(b"SFDS" + struct.pack("<II", 1, len(schema)) + schema + struct.pack("<I", 0))
+        with pytest.raises(DataFormatError, match=match):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("label", struct.pack("<i", 2), "not a class"),
+        ("label", struct.pack("<i", -1), "not a class"),
+        ("mask", b"\x02", "mask"),
+    ])
+    def test_out_of_range_record_field_rejected(self, tmp_path, field, value, match):
+        s = schema2(r=2)
+        masked = complete(generate(s, n=1, seed=27))
+        path = tmp_path / "data.sfds"
+        save_dataset(path, s, masked)
+        blob = bytearray(path.read_bytes())
+        # magic, version, schema, count, id; then the label, the 2-byte mask and two payloads
+        label_at = (4 + 4 + 4 + len(json.dumps(s.to_dict(), sort_keys=True)) + 4
+                    + 2 + len(masked[0].sample_id.encode()))
+        assert label_at == len(blob) - 4 - 2 - 2 * 2 * 8
+        at = label_at if field == "label" else label_at + 4
+        blob[at:at + len(value)] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=match):
             load_dataset(path)
 
     def test_text_export_row_count(self, tmp_path):

@@ -264,6 +264,28 @@ class TestFreezeContract:
             Adam(enc.named_parameters())
 
 
+class TestFrozenHeadCache:
+    def test_frozen_output_equals_unfrozen_output_bitwise(self):
+        enc = make_encoder(seed=3)
+        xs = [SeededRng((3, i)).normal(6) for i in range(4)]
+        live = {(i, m): enc.phi_forward(x, m).data.tobytes()
+                for i, x in enumerate(xs) for m in range(3)}
+        enc.freeze()
+        for (i, m), expected in live.items():
+            assert enc.phi_forward(xs[i], m).data.tobytes() == expected
+        assert sorted(enc._head_cache) == [0, 1, 2]
+
+    def test_freeze_clears_the_head_cache(self):
+        enc = make_encoder(seed=4).freeze()
+        x = SeededRng(5).normal(6)
+        stale = enc.phi_forward(x, 1).data.copy()
+        assert list(enc._head_cache) == [1]
+        enc.hypernet.head.bias.data[:] += 1.0  # e.g. weights restored after freezing
+        enc.freeze()
+        assert enc._head_cache == {}
+        assert np.any(enc.phi_forward(x, 1).data != stale)
+
+
 class TestTrainability:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_phase1_loss_drops_on_separable_unimodal_task(self, seed):

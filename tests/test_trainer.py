@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from setfusion.data import DatasetSchema, apply_missingness, complete, generate,
 from setfusion.encoder import Encoder, parameter_checksum
 from setfusion.errors import ContractError
 from setfusion.rng import SeededRng
-from setfusion.setnet import SetClassifier
+from setfusion.setnet import SetClassifier, SetObservation, phase2_loss
 from setfusion.trainer import (
     EarlyStopper,
     TrainConfig,
+    _train_loop,
     collect_phase1_items,
     run_full,
     train_phase1,
@@ -185,6 +188,88 @@ class TestPhase2:
         report, _, _ = run_full(cfg, schema, masked)
         assert fill_count() == 0
         assert report.metrics.n_eval > 0
+
+
+def _reference_phase2(model, enc, train_sets, val_sets, cfg):
+    """Stage 2 as it ran before latents were cached: every item re-encodes its set."""
+    def item_loss(obs):
+        return phase2_loss(model, enc, [(obs, obs.label)])
+
+    return _train_loop(
+        model.named_parameters(), item_loss, train_sets, val_sets, cfg,
+        cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_phase2")), "phase2",
+    )
+
+
+def _frozen_bag_sets(seed=12):
+    schema, masked = tiny_dataset(n=30, rate=0.5, seed=seed, bags=(1,))
+    cfg = small_cfg(seed=seed, max_epochs_phase1=2)
+    enc = Encoder(cfg.encoder_config(schema), SeededRng(seed))
+    items = collect_phase1_items(masked, schema)
+    train_phase1(enc, items[:40], items[40:], cfg)
+    enc.freeze()
+    sets = [to_set(s, schema) for s in masked]
+    return enc, sets[:20], sets[20:]
+
+
+class TestCachedPhase2:
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_matches_per_epoch_encoding_bitwise(self, aggregator, batch_size):
+        enc, train_sets, val_sets = _frozen_bag_sets()
+        cfg = small_cfg(seed=12, max_epochs_phase2=6, patience=2, batch_size=batch_size,
+                        aggregator=aggregator)
+
+        def fit(train):
+            model = SetClassifier(cfg.d_l, 2, SeededRng(13), hidden=cfg.rho_hidden,
+                                  aggregator=aggregator)
+            report = train(model, enc, train_sets, val_sets, cfg)
+            return report, {k: p.data.tobytes() for k, p in model.named_parameters().items()}
+
+        cached, cached_params = fit(train_phase2)
+        reference, reference_params = fit(_reference_phase2)
+        assert cached.to_dict() == reference.to_dict()
+        assert cached_params == reference_params
+
+    def test_each_payload_is_encoded_once_per_call(self):
+        enc, train_sets, val_sets = _frozen_bag_sets()
+        cfg = small_cfg(seed=12, max_epochs_phase2=4)
+        model = SetClassifier(cfg.d_l, 2, SeededRng(13), hidden=cfg.rho_hidden)
+        calls = Counter()
+        phi_forward = enc.phi_forward
+
+        def counting_phi_forward(x, m):
+            calls[(getattr(m, "index", m), np.asarray(x).tobytes())] += 1
+            return phi_forward(x, m)
+
+        enc.phi_forward = counting_phi_forward
+        payloads = sum(
+            len(payload) if isinstance(payload, list) else 1
+            for obs in train_sets + val_sets for payload, _ in obs.elements
+        )
+        for _ in range(2):
+            calls.clear()
+            train_phase2(model, enc, train_sets, val_sets, cfg)
+            assert sum(calls.values()) == payloads
+            assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("part", ["train", "val"])
+    def test_unlabeled_set_rejected_before_any_step(self, part, monkeypatch):
+        from setfusion.optim import Adam
+
+        enc, train_sets, val_sets = _frozen_bag_sets()
+        unlabeled = SetObservation(train_sets[0].elements, label=None, sample_id="nolabel")
+        if part == "train":
+            train_sets = train_sets + [unlabeled]
+        else:
+            val_sets = val_sets + [unlabeled]
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda opt: steps.append(opt))
+        cfg = small_cfg(seed=12)
+        model = SetClassifier(cfg.d_l, 2, SeededRng(13), hidden=cfg.rho_hidden)
+        with pytest.raises(ContractError, match="nolabel"):
+            train_phase2(model, enc, train_sets, val_sets, cfg)
+        assert steps == []
 
 
 class TestRunFull:
