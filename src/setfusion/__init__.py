@@ -47,6 +47,7 @@ from .tensor import (
     reshape,
     row,
     scale,
+    segment,
     slice1d,
     softmax,
     softmax_cross_entropy,

@@ -293,6 +293,13 @@ def load_dataset(path) -> tuple[DatasetSchema, list[MaskedSample]]:
     except (KeyError, TypeError, ValueError) as exc:
         raise rd.error(f"invalid schema ({exc!r})") from exc
     d, r = schema.num_modalities, schema.payload_width
+
+    def payload(sid):
+        x = rd.floats(r, f"payload of sample '{sid}'")
+        if not np.isfinite(x).all():
+            raise rd.error(f"payload of sample '{sid}' holds non-finite values")
+        return x
+
     samples = []
     for _ in range(rd.unpack("<I", "sample count")):
         sid = rd.text(rd.unpack("<H", "sample id length"), "sample id")
@@ -308,9 +315,9 @@ def load_dataset(path) -> tuple[DatasetSchema, list[MaskedSample]]:
                 slots.append(None)
             elif schema.is_bag(i):
                 count = rd.unpack("<I", f"bag size of sample '{sid}'")
-                slots.append([rd.floats(r, f"payload of sample '{sid}'") for _ in range(count)])
+                slots.append([payload(sid) for _ in range(count)])
             else:
-                slots.append(rd.floats(r, f"payload of sample '{sid}'"))
+                slots.append(payload(sid))
         samples.append(MaskedSample(slots=slots, label=label, mask=mask, sample_id=sid))
     rd.finish()
     return schema, samples

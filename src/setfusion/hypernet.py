@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .nn import Dense
 from .rng import SeededRng, glorot_uniform
-from .tensor import Tensor, add, matmul, relu, reshape, row, slice1d
+from .tensor import Tensor, linear, relu, row, segment
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class HyperNetwork:
         """Weights and bias of the conditional layer for modality `m`.
 
         Pure in (parameters, modality index): repeated calls return
-        identical values until a parameter update happens.
+        identical values until a parameter update happens. Both are
+        views of the generator head's output, not copies.
         """
         idx = _index_of(m)
         if not 0 <= idx < self.num_modalities:
@@ -72,8 +73,8 @@ class HyperNetwork:
         code = relu(self.trunk(row(self.embedding, idx)))
         flat = self.head(code)
         split = self.d_l * self.d_z
-        weight = reshape(slice1d(flat, 0, split), (self.d_l, self.d_z))
-        bias = slice1d(flat, split, split + self.d_l)
+        weight = segment(flat, 0, split, (self.d_l, self.d_z))
+        bias = segment(flat, split, split + self.d_l, (self.d_l,))
         return weight, bias
 
     def conditional_linear(self, z: Tensor, m) -> Tensor:
@@ -81,7 +82,7 @@ class HyperNetwork:
         if z.data.ndim != 1 or z.shape[0] != self.d_z:
             raise ShapeError(f"conditional_linear: expected input width {self.d_z}, got shape {z.shape}")
         weight, bias = self.generate_weights(m)
-        return add(matmul(weight, z), bias)
+        return linear(weight, z, bias)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {self.embedding.name: self.embedding}

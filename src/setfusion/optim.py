@@ -3,14 +3,18 @@
 At construction `Adam` copies every parameter's values into one
 contiguous float64 buffer, `flat`, and rebinds each `p.data` to a
 reshaped view of its slice: values and shapes are unchanged, and an
-in-place write to `p.data` or to `flat` is seen by both. A step then
-gathers the leaf gradients into a matching buffer and updates all
-parameters with a fixed sequence of whole-buffer in-place ufuncs.
+in-place write to `p.data` or to `flat` is seen by both. Each parameter
+also gets a view of its slice of a matching gradient buffer as
+`p._grad_buf`; `backward` writes the parameter's gradient there, so
+after `backward` `p.grad` is that view, valid until `step` or
+`zero_grad`. A step copies only a gradient that lives elsewhere (one
+assigned by hand) into the buffer, then updates all parameters with a
+fixed sequence of whole-buffer in-place ufuncs.
 
-A second optimizer built over the same tensors takes their storage
-over: it copies their current values into its own buffer and rebinds
-`p.data` again, after which the first optimizer's steps no longer
-reach those tensors.
+A second optimizer built over the same tensors takes their storage and
+their gradient views over: it copies their current values into its own
+buffers and rebinds `p.data` and `p._grad_buf` again, after which the
+first optimizer's steps no longer reach those tensors.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class Adam:
             view = self.flat[offset:end].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            self._grad_views.append(self._grad[offset:end].reshape(view.shape))
+            p._grad_buf = self._grad[offset:end].reshape(view.shape)
+            self._grad_views.append(p._grad_buf)
             offset = end
 
     @property
@@ -76,7 +81,8 @@ class Adam:
             if p.grad is None:
                 raise ContractError(f"parameter '{name}' has no gradient")
         for p, view in zip(self.named_params.values(), self._grad_views):
-            view[...] = p.grad
+            if p.grad is not view:  # backward wrote it in place otherwise
+                view[...] = p.grad
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

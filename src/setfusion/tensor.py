@@ -15,12 +15,21 @@ Design constraints:
     the first argmax on ties.
   - a second `backward` without clearing leaf gradients is an error,
     not an accumulate.
+
+Where a leaf's gradient lives: a leaf that an optimizer owns carries a
+view of that optimizer's gradient buffer (`_grad_buf`, set by `Adam`).
+The first contribution of a `backward` writes into that view and later
+ones add in place, so after `backward` the leaf's `grad` *is* the view.
+It stays valid until the optimizer's `step` or `zero_grad`, which clear
+`grad`; the next `backward` overwrites the same memory. A leaf no
+optimizer owns gets a freshly allocated gradient, as any graph node does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 
 import numpy as np
@@ -46,7 +55,7 @@ def no_grad():
 class Tensor:
     """An n-dimensional float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_bwd", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_bwd", "_seq", "_grad_buf")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -59,6 +68,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._bwd = None
         self._seq = next(_seq_counter)
+        self._grad_buf: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,8 +84,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def detach(self) -> "Tensor":
-        """A gradient-free leaf sharing this tensor's current values."""
-        return Tensor(self.data.copy())
+        """A gradient-free leaf holding a copy of this tensor's current values."""
+        # built without __init__: the values were checked finite when this tensor was made
+        out = Tensor.__new__(Tensor)
+        out.data, out.grad, out.requires_grad, out.name = self.data.copy(), None, False, None
+        out._parents, out._bwd, out._seq, out._grad_buf = (), None, next(_seq_counter), None
+        return out
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -104,8 +118,9 @@ class Tensor:
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
     """Internal fast constructor for op outputs."""
     # a non-finite element always drives the sum non-finite, so this
-    # single reduction is a sound (and much cheaper) finiteness probe
-    if not math.isfinite(float(data.sum())):
+    # single reduction is a sound (and much cheaper) finiteness probe;
+    # np.add.reduce skips ndarray.sum's Python wrapper
+    if not math.isfinite(float(np.add.reduce(data, axis=None))):
         if not np.all(np.isfinite(data)):
             raise NumericError(f"{op} produced non-finite values")
     out = Tensor.__new__(Tensor)
@@ -113,6 +128,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor
     out.grad = None
     out.name = None
     out._seq = next(_seq_counter)
+    out._grad_buf = None
     if _grad_enabled and any(p.requires_grad or p._bwd is not None for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -125,12 +141,20 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate a gradient contribution on a graph node."""
+    """Accumulate a gradient contribution on a graph node.
+
+    `t.grad` is always an array this module wrote (a fresh copy or the
+    leaf's `_grad_buf`), so later contributions add into it in place,
+    which is bitwise equal to `t.grad + g`.
+    """
     if t.requires_grad or t._bwd is not None:
-        if t.grad is None:
-            t.grad = np.array(g, dtype=np.float64)
+        if t.grad is not None:
+            np.add(t.grad, g, out=t.grad)
+        elif t._grad_buf is not None:
+            t._grad_buf[...] = g
+            t.grad = t._grad_buf
         else:
-            t.grad = t.grad + g
+            t.grad = np.array(g, dtype=np.float64)
 
 
 def as_tensor(x) -> Tensor:
@@ -244,8 +268,14 @@ def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: bias shape {b.shape} does not match output {w.shape[0]}")
 
     def bwd(g):
-        _acc(w, g[:, None] * x.data[None, :])
-        _acc(x, w.data.T @ g)
+        if w.requires_grad or w._bwd is not None:
+            if w.grad is None and w._grad_buf is not None:
+                # g ⊗ x straight into the optimizer's buffer, no temporary
+                w.grad = np.multiply(g[:, None], x.data[None, :], out=w._grad_buf)
+            else:
+                _acc(w, g[:, None] * x.data[None, :])
+        if x.requires_grad or x._bwd is not None:  # not for payloads and cached latents
+            _acc(x, w.data.T @ g)
         _acc(b, g)
 
     return _make(w.data @ x.data + b.data, (w, x, b), bwd, "linear")
@@ -304,19 +334,35 @@ def row(a: Tensor, index: int) -> Tensor:
     return _make(a.data[index].copy(), (a,), bwd, "row")
 
 
-def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
+def segment(a: Tensor, start: int, stop: int, shape: tuple[int, ...]) -> Tensor:
+    """Elements [start, stop) of a 1d tensor, arranged as `shape`.
+
+    The output shares memory with `a` when `a` is a recorded op output,
+    whose values no code writes in place; from any other tensor (a leaf,
+    say a parameter the optimizer updates in place) it copies.
+    """
     a = as_tensor(a)
     if a.data.ndim != 1:
-        raise ShapeError(f"slice1d: expected 1d tensor, got shape {a.shape}")
+        raise ShapeError(f"segment: expected 1d tensor, got shape {a.shape}")
     if not 0 <= start <= stop <= a.shape[0]:
-        raise ValueError(f"slice1d: range [{start}, {stop}) invalid for length {a.shape[0]}")
+        raise ValueError(f"segment: range [{start}, {stop}) invalid for length {a.shape[0]}")
+    if math.prod(shape) != stop - start:
+        raise ShapeError(f"segment: cannot view {stop - start} elements as {shape}")
+    data = a.data[start:stop].reshape(shape)
+    if a._bwd is None:
+        data = data.copy()
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        _acc(a, full)
+        # a recorded segment always has a parent that takes gradient
+        if a.grad is None:
+            _acc(a, np.zeros_like(a.data))
+        a.grad[start:stop] += g.reshape(-1)
 
-    return _make(a.data[start:stop].copy(), (a,), bwd, "slice1d")
+    return _make(data, (a,), bwd, "segment")
+
+
+def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
+    return segment(a, start, stop, (stop - start,))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -439,25 +485,31 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
 
-    nodes: list[Tensor] = []
-    seen: set[int] = set()
+    # one walk: collect op nodes, check leaves as they are met
+    ops: list[Tensor] = []
+    seen: set[Tensor] = set()  # Tensor hashes by identity
     stack_ = [loss]
     while stack_:
         t = stack_.pop()
-        if id(t) in seen:
+        if t in seen:
             continue
-        seen.add(id(t))
-        nodes.append(t)
-        stack_.extend(t._parents)
-
-    for t in nodes:
-        if t._bwd is None and t.requires_grad and t.grad is not None:
+        seen.add(t)
+        if t._bwd is not None:
+            ops.append(t)
+            stack_.extend(t._parents)
+        elif t.requires_grad and t.grad is not None:
             raise ContractError(
                 f"backward: leaf '{t.name or '<anon>'}' already has a gradient; "
                 "clear gradients (optimizer step or zero_grad) before calling backward again"
             )
 
     loss.grad = np.ones_like(loss.data)
-    for t in sorted(nodes, key=lambda n: n._seq, reverse=True):
-        if t._bwd is not None and t.grad is not None:
+    # reverse creation order; with three or more contributions to one
+    # tensor, the order of the sum decides the last bits
+    ops.sort(key=_by_seq, reverse=True)
+    for t in ops:
+        if t.grad is not None:
             t._bwd(t.grad)
+
+
+_by_seq = operator.attrgetter("_seq")

@@ -226,8 +226,11 @@ def train_phase1(
             mse_weight=cfg.mse_weight, detach_target=cfg.detach_recon_target,
         )
 
+    def as_tensors(items):  # once per call, not once per item per epoch
+        return [(Tensor(x), m, y) for x, m, y in items]
+
     return _train_loop(
-        enc.named_parameters(), item_loss, train_items, val_items, cfg,
+        enc.named_parameters(), item_loss, as_tensors(train_items), as_tensors(val_items), cfg,
         cfg.max_epochs_phase1, SeededRng((cfg.seed, "shuffle_phase1")), "phase1",
     )
 

@@ -319,6 +319,20 @@ class TestContainer:
         with pytest.raises(DataFormatError, match=match):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("modality", [0, 1])  # a plain payload, a bag instance
+    def test_non_finite_payload_names_file_and_sample(self, tmp_path, value, modality):
+        s = schema2(r=3, bags=(1,))
+        masked = complete(generate(s, n=3, seed=28))
+        bad = masked[1]
+        target = bad.slots[modality] if modality == 0 else bad.slots[modality][-1]
+        target[2] = value
+        path = tmp_path / "data.sfds"
+        save_dataset(path, s, masked)
+        with pytest.raises(DataFormatError, match="non-finite") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value) and f"'{bad.sample_id}'" in str(info.value)
+
     def test_text_export_row_count(self, tmp_path):
         s = schema2(bags=(1,))
         masked = apply_missingness(generate(s, n=6, seed=24), 0.3, "mcar", seed=25)

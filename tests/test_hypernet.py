@@ -4,7 +4,7 @@ import pytest
 from setfusion.hypernet import HyperNetwork, ModalityId
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, no_grad, reduce
+from setfusion.tensor import Tensor, add, matmul, no_grad, reduce, relu, reshape, row, slice1d
 
 from conftest import central_difference, rel_err
 
@@ -71,6 +71,49 @@ class TestGenerateWeights:
         assert np.any(h.trunk.weight.data != trunk_before)
         w1_after, _ = h.generate_weights(1)
         assert np.any(w1_after.data != w1_before.data)
+
+
+def old_composition(h, z, m):
+    """The head split as reshape(slice1d) copies and the layer as matmul + add."""
+    flat = h.head(relu(h.trunk(row(h.embedding, m))))
+    split = h.d_l * h.d_z
+    weight = reshape(slice1d(flat, 0, split), (h.d_l, h.d_z))
+    bias = slice1d(flat, split, split + h.d_l)
+    return weight, bias, add(matmul(weight, z), bias)
+
+
+class TestHeadSplit:
+    def test_weights_are_views_of_the_head_output(self):
+        h = make_hyper()
+        w, b = h.generate_weights(2)
+        assert w.data.base is not None and w.data.base is b.data.base
+        assert w.data.base.shape == (4 * 5 + 4,)
+
+    @pytest.mark.parametrize("owned", [False, True], ids=["allocated", "adam_buffer"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_old_composition_bitwise(self, seed, owned):
+        h = make_hyper(seed=seed)
+        params = h.named_parameters()
+        if owned:
+            Adam(params)
+        z0 = SeededRng((seed, 9)).normal(5)
+
+        def run(build):
+            z = Tensor(z0, requires_grad=True)
+            weight, bias, out = build(z)
+            reduce(relu(out), 0, "sum").backward()
+            got = [weight.data.tobytes(), bias.data.tobytes(), out.data.tobytes(), z.grad.tobytes()]
+            got += [p.grad.tobytes() for p in params.values()]
+            assert all(np.shares_memory(p.grad, p._grad_buf) == owned for p in params.values())
+            for p in params.values():
+                p.zero_grad()
+            return got
+
+        def new(z):
+            weight, bias = h.generate_weights(1)
+            return weight, bias, h.conditional_linear(z, 1)
+
+        assert run(new) == run(lambda z: old_composition(h, z, 1))
 
 
 class TestConditionalLinear:

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from setfusion.encoder import Encoder, EncoderConfig, phase1_loss
 from setfusion.errors import ContractError
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, matmul, mse, reduce
+from setfusion.tensor import Tensor, linear, matmul, mean_of_scalars, mse, reduce
 
 
 def make_param(values, name="w"):
@@ -191,3 +192,92 @@ class TestAdamOnRealLoss:
             reduce(w, 0, "sum").backward()
             opt.step()
         assert w.grad is None
+
+
+class TestGradientsInTheBuffer:
+    """`backward` writes an owned parameter's gradient into the optimizer's buffer."""
+
+    def test_batch_of_three_matches_reference_fed_allocated_sums(self):
+        # w and b each get three contributions per step, one per item
+        rng = SeededRng(11)
+        values = {"w": rng.normal((3, 4)), "b": rng.normal(3)}
+        xs = [rng.normal(4) for _ in range(3)]
+        ys = [rng.normal(3) for _ in range(3)]
+        w, b = make_param(values["w"], "w"), make_param(values["b"], "b")
+        opt = Adam({"w": w, "b": b}, lr=1e-2)
+        grad_steps = []
+        for _ in range(5):
+            current = reference_adam(values, grad_steps, 1e-2, 0.9, 0.999, 1e-8)
+            # the allocating engine: every contribution a fresh array,
+            # summed with `+` in reverse creation order
+            share = np.ones(()) / 3
+            contrib = []
+            for x, y in zip(xs, ys):
+                g = (2.0 / 3) * share * (current["w"] @ x + current["b"] - y)
+                contrib.append((g[:, None] * x[None, :], g))
+            grad_steps.append({
+                "w": contrib[2][0] + contrib[1][0] + contrib[0][0],
+                "b": contrib[2][1] + contrib[1][1] + contrib[0][1],
+            })
+
+            loss = mean_of_scalars([mse(linear(w, Tensor(x), b), Tensor(y)) for x, y in zip(xs, ys)])
+            loss.backward()
+            assert np.shares_memory(w.grad, opt._grad) and np.shares_memory(b.grad, opt._grad)
+            assert w.grad.tobytes() == grad_steps[-1]["w"].tobytes()
+            assert b.grad.tobytes() == grad_steps[-1]["b"].tobytes()
+            opt.step()
+        expected = reference_adam(values, grad_steps, 1e-2, 0.9, 0.999, 1e-8)
+        assert w.data.tobytes() == expected["w"].tobytes()
+        assert b.data.tobytes() == expected["b"].tobytes()
+
+    def test_double_backward_without_step_raises_and_keeps_the_gradient(self):
+        w = make_param([1.0, -2.0, 3.0], "w")
+        opt = Adam({"w": w})
+        reduce(w, 0, "sum").backward()
+        with pytest.raises(ContractError, match="'w' already has a gradient"):
+            reduce(w, 0, "mean").backward()
+        np.testing.assert_array_equal(w.grad, np.ones(3))
+        opt.step()
+        reduce(w, 0, "mean").backward()  # fine after the step cleared it
+        np.testing.assert_array_equal(w.grad, np.full(3, 1.0 / 3))
+
+    def test_hand_assigned_gradient_is_copied_in(self):
+        a, b = make_param([1.0, 2.0], "a"), make_param([3.0], "b")
+        opt = Adam({"a": a, "b": b}, lr=0.1)
+        reduce(a, 0, "sum").backward()  # a's gradient lands in the buffer
+        b.grad = np.array([-4.0])  # b's is assigned by hand
+        opt.step()
+        expected = reference_adam({"a": np.array([1.0, 2.0]), "b": np.array([3.0])},
+                                  [{"a": np.ones(2), "b": np.array([-4.0])}], 0.1, 0.9, 0.999, 1e-8)
+        assert a.data.tobytes() == expected["a"].tobytes()
+        assert b.data.tobytes() == expected["b"].tobytes()
+
+    def test_second_optimizer_takes_the_gradient_views_over(self):
+        w = make_param([1.0, 2.0])
+        first = Adam({"w": w}, lr=0.1)
+        second = Adam({"w": w}, lr=0.1)
+        first._grad[...] = 7.0
+        reduce(w, 0, "sum").backward()
+        assert np.shares_memory(w.grad, second._grad)
+        np.testing.assert_array_equal(first._grad, [7.0, 7.0])
+        second.step()
+        assert w.data[0] < 1.0 and w.grad is None
+
+    def test_backward_through_frozen_encoder_leaves_stale_buffer_alone(self):
+        cfg = EncoderConfig(input_width=6, num_classes=2, num_modalities=2, d_z=5, d_l=4,
+                            backbone_hidden=8, decoder_hidden=8, embed_dim=4, hyper_hidden=8)
+        enc = Encoder(cfg, SeededRng(4))
+        opt = Adam(enc.named_parameters(), lr=1e-2)
+        x = SeededRng(5).normal(6)
+        phase1_loss(enc.phase1_forward(x, 1), 0).backward()
+        opt.step()
+        enc.freeze()
+        stale = opt._grad.tobytes()
+        payload = Tensor(x, requires_grad=True)  # gives the frozen graph something to train
+        loss = mean_of_scalars([reduce(enc.phi_forward(payload, 0), 0, "sum"),
+                                phase1_loss(enc.phase1_forward(payload, 1), 1)])
+        loss.backward()
+        assert payload.grad is not None
+        assert all(p.grad is None for p in enc.named_parameters().values())
+        assert opt._grad.tobytes() == stale
+

@@ -11,6 +11,7 @@ from setfusion.tensor import (
     Tensor,
     add,
     concat,
+    linear,
     matmul,
     mean_of_scalars,
     mse,
@@ -21,6 +22,7 @@ from setfusion.tensor import (
     reshape,
     row,
     scale,
+    segment,
     slice1d,
     softmax_cross_entropy,
     stack,
@@ -260,12 +262,46 @@ class TestShapeOps:
         m0 = rng.normal((4, 3))
         assert check_gradient(lambda m: reduce(row(m, 2), 0, "sum"), m0) < 1e-4
 
+    def test_segment_views_op_outputs_and_copies_leaves(self):
+        leaf = Tensor(np.arange(6.0), requires_grad=True)
+        doubled = scale(leaf, 2.0)
+        view = segment(doubled, 1, 5, (2, 2))
+        np.testing.assert_array_equal(view.data, [[2.0, 4.0], [6.0, 8.0]])
+        assert np.shares_memory(view.data, doubled.data)
+        assert not np.shares_memory(segment(leaf, 1, 5, (2, 2)).data, leaf.data)
+        assert not np.shares_memory(slice1d(leaf, 0, 3).data, leaf.data)
+        with no_grad():  # an unrecorded output cannot be told from a leaf
+            assert not np.shares_memory(segment(scale(leaf, 2.0), 0, 2, (2,)).data, leaf.data)
+        with pytest.raises(ShapeError):
+            segment(doubled, 0, 4, (3,))
+
     def test_row_gradient_touches_single_row(self):
         m = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
         reduce(row(m, 1), 0, "sum").backward()
         expected = np.zeros((4, 3))
         expected[1] = 1.0
         np.testing.assert_array_equal(m.grad, expected)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_constant_input_gets_no_gradient_and_changes_nothing_else(self, seed):
+        rng = SeededRng((seed, "linear"))
+        w0, b0, x0 = rng.normal((3, 4)), rng.normal(3), rng.normal(4)
+        grads = {}
+        for x_takes_grad in (False, True):
+            w = Tensor(w0, requires_grad=True)
+            b = Tensor(b0, requires_grad=True)
+            x = Tensor(x0, requires_grad=x_takes_grad)
+            reduce(relu(linear(w, x, b)), 0, "sum").backward()
+            grads[x_takes_grad] = (w.grad.tobytes(), b.grad.tobytes())
+            if not x_takes_grad:
+                assert x.grad is None
+        assert grads[False] == grads[True]
+        w = Tensor(w0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True)
+        reduce(relu(add(matmul(w, Tensor(x0)), b)), 0, "sum").backward()
+        assert (w.grad.tobytes(), b.grad.tobytes()) == grads[False]
 
 
 class TestBackwardContract:
