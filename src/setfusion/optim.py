@@ -15,6 +15,10 @@ A second optimizer built over the same tensors takes their storage and
 their gradient views over: it copies their current values into its own
 buffers and rebinds `p.data` and `p._grad_buf` again, after which the
 first optimizer's steps no longer reach those tensors.
+
+`release_gradients` hands the views back once training is over, so the
+gradient buffer is freed with the optimizer instead of living as long
+as the parameters do.
 """
 
 from __future__ import annotations
@@ -111,3 +115,10 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.named_params.values():
             p.grad = None
+
+    def release_gradients(self) -> None:
+        """Clear the gradients and stop routing them into this optimizer's buffer."""
+        self.zero_grad()
+        for p, view in zip(self.named_params.values(), self._grad_views):
+            if p._grad_buf is view:  # not if a later optimizer took the tensor over
+                p._grad_buf = None

@@ -207,6 +207,7 @@ def _train_loop(
             break
 
     opt.flat[...] = best
+    opt.release_gradients()
     report.best_epoch = stopper.best_epoch
     return report
 

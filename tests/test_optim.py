@@ -10,7 +10,7 @@ from setfusion.encoder import Encoder, EncoderConfig, phase1_loss
 from setfusion.errors import ContractError
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, linear, matmul, mean_of_scalars, mse, reduce
+from setfusion.tensor import Tensor, add, linear, matmul, mean_of_scalars, mse, reduce
 
 
 def make_param(values, name="w"):
@@ -262,6 +262,19 @@ class TestGradientsInTheBuffer:
         np.testing.assert_array_equal(first._grad, [7.0, 7.0])
         second.step()
         assert w.data[0] < 1.0 and w.grad is None
+
+    def test_released_optimizer_no_longer_receives_gradients(self):
+        w, b = make_param([1.0, 2.0], "w"), make_param([3.0], "b")
+        first = Adam({"w": w, "b": b})
+        second = Adam({"b": b})
+        reduce(w, 0, "sum").backward()
+        first.release_gradients()
+        assert w.grad is None and b.grad is None
+        reduce(add(w, w), 0, "sum").backward()
+        assert not np.shares_memory(w.grad, first._grad)
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+        reduce(b, 0, "sum").backward()
+        assert np.shares_memory(b.grad, second._grad)  # second's view is kept
 
     def test_backward_through_frozen_encoder_leaves_stale_buffer_alone(self):
         cfg = EncoderConfig(input_width=6, num_classes=2, num_modalities=2, d_z=5, d_l=4,
