@@ -256,7 +256,13 @@ class TestShapeOps:
         def through_reshape(x):
             return reduce(reduce(reshape(x, (2, 3)), 1, "sum"), 0, "sum")
 
-        for fn in (through_stack, through_concat, through_slice, through_reshape):
+        def through_segment_views(x):  # two views of one op output
+            y = mul(x, other)
+            return add(reduce(reduce(segment(y, 0, 4, (2, 2)), 1, "sum"), 0, "sum"),
+                       reduce(segment(y, 3, 6, (3,)), 0, "max"))
+
+        for fn in (through_stack, through_concat, through_slice, through_reshape,
+                   through_segment_views):
             assert check_gradient(fn, x0) < 1e-4
 
         m0 = rng.normal((4, 3))
@@ -271,7 +277,8 @@ class TestShapeOps:
         assert not np.shares_memory(segment(leaf, 1, 5, (2, 2)).data, leaf.data)
         assert not np.shares_memory(slice1d(leaf, 0, 3).data, leaf.data)
         with no_grad():  # an unrecorded output cannot be told from a leaf
-            assert not np.shares_memory(segment(scale(leaf, 2.0), 0, 2, (2,)).data, leaf.data)
+            unrecorded = scale(leaf, 2.0)
+            assert not np.shares_memory(segment(unrecorded, 0, 2, (2,)).data, unrecorded.data)
         with pytest.raises(ShapeError):
             segment(doubled, 0, 4, (3,))
 
