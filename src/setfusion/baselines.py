@@ -24,9 +24,9 @@ import numpy as np
 
 from .data import DatasetSchema, MaskedSample
 from .metrics import MetricSet, compute_metrics
-from .nn import MLP, Dense
+from .nn import MLP, Dense, aggregate, parameters
 from .rng import SeededRng
-from .tensor import Tensor, no_grad, reduce, softmax, softmax_cross_entropy, stack
+from .tensor import Tensor, as_tensor, no_grad, softmax, softmax_cross_entropy
 from .trainer import TrainConfig, _train_loop
 
 _fill_count = 0
@@ -68,51 +68,39 @@ class BaselineKind:
         return cls("late_fusion_average")
 
 
-class _UnimodalNet:
-    """Backbone + linear feature layer + linear class head, one modality."""
+class _BaselineNet:
+    """A dense feature stack and a linear class head.
 
-    def __init__(self, r: int, num_classes: int, cfg: TrainConfig, rng: SeededRng):
-        self.backbone = MLP([r, cfg.backbone_hidden, cfg.d_z], rng, "uni/backbone",
-                            final_relu=True)
-        self.feature = Dense(cfg.d_z, cfg.d_l, rng, "uni/feature")
-        self.head = Dense(cfg.d_l, num_classes, rng, "uni/head")
+    An item is one input vector or a bag of them; a bag's features are
+    max-pooled before the head.
+    """
 
-    def features(self, x) -> Tensor:
-        return self.feature(self.backbone(Tensor(x) if not isinstance(x, Tensor) else x))
+    def __init__(self, widths: list[int], num_classes: int, rng: SeededRng, name: str,
+                 final_relu: bool = False):
+        self.features = MLP(widths, rng, f"{name}/features", final_relu=final_relu)
+        self.head = Dense(widths[-1], num_classes, rng, f"{name}/head")
 
-    def logits_for_item(self, item) -> Tensor:
-        """Item is one payload or a bag; bags are max-pooled in feature space."""
-        if isinstance(item, (list, tuple)):
-            feats = [self.features(x) for x in item]
-            pooled = feats[0] if len(feats) == 1 else reduce(stack(feats), 0, "max")
-            return self.head(pooled)
-        return self.head(self.features(item))
+    def logits(self, item) -> Tensor:
+        xs = item if isinstance(item, (list, tuple)) else [item]
+        return self.head(aggregate([self.features(as_tensor(x)) for x in xs], "max"))
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.backbone.named_parameters())
-        out.update(self.feature.named_parameters())
-        out.update(self.head.named_parameters())
-        return out
-
-
-class _ConcatNet:
-    """One dense net over the concatenation of all modality slots."""
-
-    def __init__(self, schema: DatasetSchema, cfg: TrainConfig, rng: SeededRng):
-        width = schema.num_modalities * schema.payload_width
-        self.net = MLP([width, cfg.backbone_hidden, cfg.d_l], rng, "concat/net",
-                       final_relu=True)
-        self.head = Dense(cfg.d_l, schema.num_classes, rng, "concat/head")
-
-    def logits(self, x: np.ndarray) -> Tensor:
-        return self.head(self.net(Tensor(x)))
+    def proba(self, item, positive_class: int) -> float:
+        with no_grad():
+            return float(softmax(self.logits(item).data)[positive_class])
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.net.named_parameters())
-        out.update(self.head.named_parameters())
-        return out
+        return parameters(self.features, self.head)
+
+    def fit(self, train_items: list, val_items: list, cfg: TrainConfig,
+            shuffle_rng: SeededRng, phase_name: str) -> "_BaselineNet":
+        """Train on (item, label) pairs with the shared loop."""
+        def item_loss(pair):
+            item, y = pair
+            return softmax_cross_entropy(self.logits(item), y)
+
+        _train_loop(self.named_parameters(), item_loss, train_items, val_items, cfg,
+                    cfg.max_epochs_phase2, shuffle_rng, phase_name)
+        return self
 
 
 def _slot_vector(sample: MaskedSample, i: int, schema: DatasetSchema) -> np.ndarray | None:
@@ -159,7 +147,7 @@ def _fit_unimodal(
     val: list[MaskedSample],
     cfg: TrainConfig,
     instance_level: bool = False,
-) -> _UnimodalNet:
+) -> _BaselineNet:
     """Train a single-modality classifier on samples where k is observed.
 
     With `instance_level`, bag instances become independent training
@@ -179,23 +167,10 @@ def _fit_unimodal(
     train_items, val_items = items_of(train), items_of(val)
     if not train_items or not val_items:
         raise ValueError(f"unimodal baseline: modality {k} unobserved in train or val split")
-    net = _UnimodalNet(schema.payload_width, schema.num_classes, cfg,
-                       SeededRng((cfg.seed, "init_unimodal", k)))
-
-    def item_loss(item):
-        x, y = item
-        return softmax_cross_entropy(net.logits_for_item(x), y)
-
-    _train_loop(
-        net.named_parameters(), item_loss, train_items, val_items, cfg,
-        cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_unimodal", k)),
-        f"unimodal_{k}",
-    )
-    return net
-
-
-def _proba(logits: Tensor, positive_class: int) -> float:
-    return float(softmax(logits.data)[positive_class])
+    net = _BaselineNet([schema.payload_width, cfg.backbone_hidden, cfg.d_z, cfg.d_l],
+                       schema.num_classes, SeededRng((cfg.seed, "init_unimodal", k)), "uni")
+    return net.fit(train_items, val_items, cfg, SeededRng((cfg.seed, "shuffle_unimodal", k)),
+                   f"unimodal_{k}")
 
 
 def run_baseline(
@@ -218,10 +193,7 @@ def run_baseline(
         eligible = [s for s in test if not s.mask[kind.k]]
         if not eligible:
             raise ValueError(f"unimodal baseline: modality {kind.k} unobserved in test split")
-        with no_grad():
-            scores = [
-                (_proba(net.logits_for_item(s.slots[kind.k]), pos), s.label) for s in eligible
-            ]
+        scores = [(net.proba(s.slots[kind.k], pos), s.label) for s in eligible]
         return compute_metrics(scores, positive_class=pos)
 
     if kind.name in ("zero_fill_multimodal", "mean_impute_multimodal"):
@@ -231,41 +203,30 @@ def run_baseline(
             fillers = _training_means(train, schema)
         train_items = [(_concat_input(s, schema, fillers), s.label) for s in train]
         val_items = [(_concat_input(s, schema, fillers), s.label) for s in val]
-        net = _ConcatNet(schema, cfg, SeededRng((cfg.seed, "init_concat")))
-
-        def item_loss(item):
-            x, y = item
-            return softmax_cross_entropy(net.logits(x), y)
-
-        _train_loop(
-            net.named_parameters(), item_loss, train_items, val_items, cfg,
-            cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_concat")), kind.name,
-        )
-        with no_grad():
-            scores = [
-                (_proba(net.logits(_concat_input(s, schema, fillers)), pos), s.label)
-                for s in test
-            ]
+        width = schema.num_modalities * schema.payload_width
+        net = _BaselineNet([width, cfg.backbone_hidden, cfg.d_l], schema.num_classes,
+                           SeededRng((cfg.seed, "init_concat")), "concat", final_relu=True)
+        net.fit(train_items, val_items, cfg, SeededRng((cfg.seed, "shuffle_concat")), kind.name)
+        scores = [(net.proba(_concat_input(s, schema, fillers), pos), s.label) for s in test]
         return compute_metrics(scores, positive_class=pos)
 
     if kind.name == "late_fusion_average":
-        nets: dict[int, _UnimodalNet] = {}
+        nets: dict[int, _BaselineNet] = {}
         for k in range(schema.num_modalities):
             if any(not s.mask[k] for s in train) and any(not s.mask[k] for s in val):
                 nets[k] = _fit_unimodal(k, schema, train, val, cfg, instance_level=True)
         if not nets:
             raise ValueError("late fusion: no modality observed in both train and val")
         scores = []
-        with no_grad():
-            for s in test:
-                probs = []
-                for k, net in nets.items():
-                    if s.mask[k]:
-                        continue
-                    items = s.slots[k] if schema.is_bag(k) else [s.slots[k]]
-                    probs.extend(_proba(net.logits_for_item(x), pos) for x in items)
-                if probs:
-                    scores.append((float(np.mean(probs)), s.label))
+        for s in test:
+            probs = []
+            for k, net in nets.items():
+                if s.mask[k]:
+                    continue
+                items = s.slots[k] if schema.is_bag(k) else [s.slots[k]]
+                probs.extend(net.proba(x, pos) for x in items)
+            if probs:
+                scores.append((float(np.mean(probs)), s.label))
         if not scores:
             raise ValueError("late fusion: no test sample had a scorable modality")
         return compute_metrics(scores, positive_class=pos)

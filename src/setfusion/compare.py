@@ -126,7 +126,9 @@ class ComparisonResult:
         return rows
 
     def check(self, assertion: OrderingAssertion) -> AssertionResult:
-        scenario = next(sc for sc in self.scenarios if sc.name == assertion.scenario)
+        scenario = next((sc for sc in self.scenarios if sc.name == assertion.scenario), None)
+        if scenario is None:
+            raise ValueError(f"assertion names unknown scenario {assertion.scenario!r}")
         lhs_mean = self.mean(assertion.scenario, assertion.lhs, assertion.metric)
         if assertion.rhs == "best_unimodal":
             candidates = [m for m in scenario.models if m.startswith("unimodal_")]
@@ -164,7 +166,7 @@ def _model_kind(model: str, scenario: Scenario) -> BaselineKind | None:
 
 def run_scenario_model(scenario: Scenario, model: str, seed: int, base_cfg: TrainConfig) -> MetricSet:
     """One full training run; pure in (scenario, model, seed, base_cfg)."""
-    _model_kind(model, scenario)  # validate before any heavy work
+    kind = _model_kind(model, scenario)  # validates before any heavy work
     cfg = replace(base_cfg, seed=seed, two_steps=(model != "setfusion_joint"))
     schema = scenario.schema()
     samples = generate(
@@ -176,7 +178,6 @@ def run_scenario_model(scenario: Scenario, model: str, seed: int, base_cfg: Trai
         samples, rate=scenario.missing_rate, mechanism=scenario.mechanism,
         seed=(seed, "mask"), k=scenario.k,
     )
-    kind = _model_kind(model, scenario)
     if kind is None:
         report, _, _ = run_full(cfg, schema, masked)
         return report.metrics

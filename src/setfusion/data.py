@@ -41,6 +41,8 @@ class DatasetSchema:
             raise ValueError(f"num_modalities must be >= 1, got {self.num_modalities}")
         if self.payload_width < 1:
             raise ValueError(f"payload_width must be >= 1, got {self.payload_width}")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.modality_names) != self.num_modalities:
             raise ValueError(
                 f"{len(self.modality_names)} names for {self.num_modalities} modalities"
@@ -212,17 +214,23 @@ def to_set(ms: MaskedSample, schema: DatasetSchema) -> SetObservation:
     return SetObservation(elements=elements, label=ms.label, sample_id=ms.sample_id)
 
 
+def check_split_ratios(ratios) -> list[float]:
+    """Three finite positive (train, val, test) ratios summing to 1."""
+    ratios = [float(x) for x in ratios]
+    if len(ratios) != 3 or not all(np.isfinite(x) and x > 0 for x in ratios):
+        raise ValueError(f"split ratios must be three finite positive numbers, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
+    return ratios
+
+
 def split(samples: list, ratios, seed) -> tuple[list, list, list]:
     """Disjoint, exhaustive, seeded (train, val, test) partition.
 
     Sizes follow the largest-remainder rule so they always sum to n
     and match exact ratios when possible.
     """
-    ratios = [float(x) for x in ratios]
-    if len(ratios) != 3 or any(x <= 0 for x in ratios):
-        raise ValueError(f"need three positive ratios, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    ratios = check_split_ratios(ratios)
     n = len(samples)
     raw = [x * n for x in ratios]
     sizes = [int(np.floor(x)) for x in raw]
@@ -254,6 +262,12 @@ def _write_array(fh, arr: np.ndarray) -> None:
 
 
 def save_dataset(path, schema: DatasetSchema, samples: list[MaskedSample]) -> None:
+    for s in samples:  # the same checks as load_dataset, before anything is written
+        if np.all(s.mask):
+            raise DataFormatError(f"{path}: sample '{s.sample_id}' has every modality missing")
+        if any(not s.mask[i] and schema.is_bag(i) and len(slot) == 0
+               for i, slot in enumerate(s.slots)):
+            raise DataFormatError(f"{path}: sample '{s.sample_id}' has an empty instance bag")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
@@ -309,12 +323,16 @@ def load_dataset(path) -> tuple[DatasetSchema, list[MaskedSample]]:
         mask = np.frombuffer(rd.take(d, f"mask of sample '{sid}'"), dtype=np.uint8).copy()
         if mask.max() > 1:
             raise rd.error(f"mask of sample '{sid}' holds values other than 0 and 1")
+        if mask.all():
+            raise rd.error(f"sample '{sid}' has every modality missing")
         slots = []
         for i in range(d):
             if mask[i]:
                 slots.append(None)
             elif schema.is_bag(i):
                 count = rd.unpack("<I", f"bag size of sample '{sid}'")
+                if count == 0:
+                    raise rd.error(f"sample '{sid}' has an empty instance bag")
                 slots.append([payload(sid) for _ in range(count)])
             else:
                 slots.append(payload(sid))

@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .hypernet import HyperNetwork, _index_of
-from .nn import MLP, Dense
+from .hypernet import HyperNetwork, modality_index
+from .nn import MLP, Dense, aggregate, parameters
 from .rng import SeededRng
 from .tensor import (
     Tensor,
@@ -25,10 +25,8 @@ from .tensor import (
     linear,
     mse,
     no_grad,
-    reduce,
     scale,
     softmax_cross_entropy,
-    stack,
 )
 
 
@@ -90,7 +88,7 @@ class Encoder:
 
     def _conditional_head(self, m) -> tuple[Tensor, Tensor]:
         """Per-modality (weight, bias); cached once the encoder is frozen."""
-        idx = _index_of(m)
+        idx = modality_index(m)
         cached = self._head_cache.get(idx)
         if cached is None:
             with no_grad():
@@ -116,12 +114,7 @@ class Encoder:
 
     def pool_instances(self, xs, m) -> Tensor:
         """Elementwise max over the latent features of a bag of payloads."""
-        if not xs:
-            raise ValueError("pool_instances: empty instance bag")
-        feats = [self.phi_forward(x, m) for x in xs]
-        if len(feats) == 1:
-            return feats[0]
-        return reduce(stack(feats), axis=0, kind="max")
+        return aggregate([self.phi_forward(x, m) for x in xs], "max")
 
     def freeze(self) -> "Encoder":
         for p in self.named_parameters().values():
@@ -131,12 +124,7 @@ class Encoder:
         return self
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.backbone.named_parameters())
-        out.update(self.hypernet.named_parameters())
-        out.update(self.decoder.named_parameters())
-        out.update(self.uniclassifier.named_parameters())
-        return out
+        return parameters(self.backbone, self.hypernet, self.decoder, self.uniclassifier)
 
 
 def phase1_loss(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .nn import Dense
+from .nn import Dense, parameters
 from .rng import SeededRng, glorot_uniform
 from .tensor import Tensor, linear, relu, row, segment
 
@@ -30,7 +30,8 @@ class ModalityId:
             raise ValueError(f"modality index must be non-negative, got {self.index}")
 
 
-def _index_of(m) -> int:
+def modality_index(m) -> int:
+    """The dense index of a ModalityId or a plain integer."""
     return m.index if isinstance(m, ModalityId) else int(m)
 
 
@@ -67,7 +68,7 @@ class HyperNetwork:
         identical values until a parameter update happens. Both are
         views of the generator head's output, not copies.
         """
-        idx = _index_of(m)
+        idx = modality_index(m)
         if not 0 <= idx < self.num_modalities:
             raise ValueError(f"modality index {idx} out of range [0, {self.num_modalities})")
         code = relu(self.trunk(row(self.embedding, idx)))
@@ -85,7 +86,4 @@ class HyperNetwork:
         return linear(weight, z, bias)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {self.embedding.name: self.embedding}
-        out.update(self.trunk.named_parameters())
-        out.update(self.head.named_parameters())
-        return out
+        return parameters(self.embedding, self.trunk, self.head)

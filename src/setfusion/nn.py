@@ -1,11 +1,45 @@
-"""Small dense-network building blocks on top of the autodiff engine."""
+"""Dense-network building blocks on top of the autodiff engine.
+
+This module is the one place that decides how a dense stack is built
+(`Dense`, `MLP`), how a list of feature vectors is pooled into one
+(`aggregate`) and how a model's parameters are collected
+(`parameters`). Every network in the package is assembled from them.
+"""
 
 from __future__ import annotations
 
 from .rng import SeededRng, glorot_uniform
-from .tensor import Tensor, linear, relu
+from .tensor import Tensor, linear, reduce, relu, stack
 
 import numpy as np
+
+AGGREGATOR_KINDS = ("sum", "mean", "max")
+
+
+def aggregate(features: list[Tensor], kind: str) -> Tensor:
+    """Order-independent reduction of equal-width feature vectors."""
+    if kind not in AGGREGATOR_KINDS:
+        raise ValueError(f"unknown aggregator {kind!r}; expected one of {AGGREGATOR_KINDS}")
+    if not features:
+        raise ValueError("aggregate: empty feature list")
+    if len(features) == 1:
+        return features[0]
+    return reduce(stack(features), axis=0, kind=kind)
+
+
+def parameters(*parts) -> dict[str, Tensor]:
+    """Named parameters of `parts`, in order.
+
+    A part is a named Tensor or anything with `named_parameters()`.
+    """
+    out: dict[str, Tensor] = {}
+    for part in parts:
+        named = {part.name: part} if isinstance(part, Tensor) else part.named_parameters()
+        for name, p in named.items():
+            if name in out:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            out[name] = p
+    return out
 
 
 class Dense:
@@ -24,7 +58,7 @@ class Dense:
         return linear(self.weight, x, self.bias)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        return {self.weight.name: self.weight, self.bias.name: self.bias}
+        return parameters(self.weight, self.bias)
 
 
 class MLP:
@@ -53,7 +87,4 @@ class MLP:
         return x
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in self.layers:
-            out.update(layer.named_parameters())
-        return out
+        return parameters(*self.layers)

@@ -16,11 +16,9 @@ import numpy as np
 from .encoder import Encoder
 from .errors import ContractError
 from .hypernet import ModalityId
-from .nn import Dense
+from .nn import AGGREGATOR_KINDS, MLP, aggregate
 from .rng import SeededRng
-from .tensor import Tensor, mean_of_scalars, reduce, relu, softmax, softmax_cross_entropy, stack
-
-AGGREGATOR_KINDS = ("sum", "mean", "max")
+from .tensor import Tensor, mean_of_scalars, no_grad, softmax, softmax_cross_entropy
 
 
 @dataclass
@@ -46,49 +44,29 @@ class SetObservation:
         return len(self.elements)
 
 
-def aggregate(features: list[Tensor], kind: str) -> Tensor:
-    """Order-independent reduction of equal-width feature vectors."""
-    if kind not in AGGREGATOR_KINDS:
-        raise ValueError(f"unknown aggregator {kind!r}; expected one of {AGGREGATOR_KINDS}")
-    if not features:
-        raise ValueError("aggregate: empty feature list")
-    if len(features) == 1:
-        return features[0]
-    return reduce(stack(features), axis=0, kind=kind)
+class SetClassifier(MLP):
+    """The Deep Sets head rho: an MLP from the pooled latent to class logits.
 
-
-class SetClassifier:
-    """Aggregation + a 3-layer dense prediction head."""
+    `hidden` lists the widths between the latent and the logits; the
+    aggregator names the pooling that `pool_set` applies before rho.
+    """
 
     def __init__(
         self,
         d_l: int,
         num_classes: int,
         rng: SeededRng,
-        hidden: tuple[int, int] = (32, 16),
+        hidden: tuple[int, ...] = (32, 16),
         aggregator: str = "mean",
     ):
         if aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"unknown aggregator {aggregator!r}; expected one of {AGGREGATOR_KINDS}")
+        super().__init__([d_l, *hidden, num_classes], rng, "rho")
         self.aggregator = aggregator
         self.d_l = d_l
         self.num_classes = num_classes
-        self.layers = [
-            Dense(d_l, hidden[0], rng, "rho/0"),
-            Dense(hidden[0], hidden[1], rng, "rho/1"),
-            Dense(hidden[1], num_classes, rng, "rho/2"),
-        ]
 
-    def rho(self, pooled: Tensor) -> Tensor:
-        h = relu(self.layers[0](pooled))
-        h = relu(self.layers[1](h))
-        return self.layers[2](h)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in self.layers:
-            out.update(layer.named_parameters())
-        return out
+    rho = MLP.__call__
 
 
 def pool_set(enc: Encoder, obs: SetObservation, aggregator: str) -> Tensor:
@@ -108,8 +86,6 @@ def f_forward(model: SetClassifier, enc: Encoder, obs: SetObservation) -> Tensor
 
 
 def predict_proba(model: SetClassifier, enc: Encoder, obs: SetObservation) -> np.ndarray:
-    from .tensor import no_grad
-
     with no_grad():
         logits = f_forward(model, enc, obs)
     return softmax(logits.data)

@@ -14,14 +14,15 @@ comparisons.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetSchema, MaskedSample, split, to_set
+from .data import DatasetSchema, MaskedSample, check_split_ratios, split, to_set
 from .encoder import Encoder, EncoderConfig, parameter_checksum, phase1_loss
 from .errors import ContractError, NumericError
 from .metrics import MetricSet, accuracy_only, compute_metrics
+from .nn import parameters
 from .optim import Adam
 from .rng import SeededRng
 from .setnet import SetClassifier, SetObservation, phase2_loss, pool_set, predict_proba
@@ -54,8 +55,15 @@ class TrainConfig:
     rho_hidden: tuple[int, int] = (32, 16)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        for name, value in (("lr", self.lr), ("epsilon", self.epsilon)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not (np.isfinite(self.mse_weight) and self.mse_weight >= 0):
+            raise ValueError(f"mse_weight must be finite and >= 0, got {self.mse_weight}")
+        check_split_ratios(self.split_ratios)
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
@@ -80,9 +88,6 @@ class TrainConfig:
             embed_dim=self.embed_dim,
             hyper_hidden=self.hyper_hidden,
         )
-
-    def with_seed(self, seed: int) -> "TrainConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass
@@ -179,6 +184,8 @@ def _train_loop(
     """Shared epoch loop: shuffle, batched Adam steps, early stop, restore."""
     if not train_items:
         raise ValueError(f"{phase_name}: empty training stream")
+    if not val_items:
+        raise ValueError(f"{phase_name}: empty validation stream")
     opt = Adam(named_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon)
     stopper = EarlyStopper(cfg.patience)
     report = PhaseReport()
@@ -285,9 +292,7 @@ def train_joint(
     """
     if enc.frozen:
         raise ContractError("joint training needs a trainable encoder")
-    params = dict(enc.backbone.named_parameters())
-    params.update(enc.hypernet.named_parameters())
-    params.update(model.named_parameters())
+    params = parameters(enc.backbone, enc.hypernet, model)
 
     def item_loss(obs):
         return phase2_loss(model, enc, [(obs, obs.label)])

@@ -41,3 +41,27 @@ def test_zero_epoch_budget_rejected(section):
 def test_zero_model_width_rejected(key):
     with pytest.raises(ConfigError, match=key):
         parse_config(with_value("model", key, "0"))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "lr", "nan"), ("run", "lr", "inf"), ("run", "lr", "0"),
+    ("run", "epsilon", "-1"), ("run", "epsilon", "nan"), ("run", "epsilon", "inf"),
+    ("run", "beta1", "1.5"), ("run", "beta1", "-0.1"), ("run", "beta2", "1.0"),
+    ("run", "beta2", "nan"),
+    ("phase1", "mse_weight", "nan"), ("phase1", "mse_weight", "inf"),
+    ("phase1", "mse_weight", "-1"),
+])
+def test_invalid_optimizer_and_loss_values_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(with_value(section, key, value))
+
+
+@pytest.mark.parametrize("key, value", [("split_train", "nan"), ("split_val", "inf"),
+                                        ("split_test", "0"), ("split_train", "0.7")])
+def test_invalid_split_ratios_rejected(key, value):
+    with pytest.raises(ConfigError, match="split ratios"):
+        parse_config(with_value("data", key, value))
+
+
+def test_zero_mse_weight_accepted():
+    assert parse_config(with_value("phase1", "mse_weight", "0.0")).mse_weight == 0.0

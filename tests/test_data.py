@@ -36,7 +36,22 @@ def schema3(r=6):
     )
 
 
+def container(schema: DatasetSchema, records) -> bytes:
+    """Raw container bytes; a record is (sample id, label, mask, body)."""
+    header = json.dumps(schema.to_dict(), sort_keys=True).encode()
+    out = b"SFDS" + struct.pack("<II", 1, len(header)) + header + struct.pack("<I", len(records))
+    for sid, label, mask, body in records:
+        out += struct.pack("<H", len(sid)) + sid.encode() + struct.pack("<i", label)
+        out += bytes(mask) + body
+    return out
+
+
 class TestSchema:
+    @pytest.mark.parametrize("num_classes", [0, 1])
+    def test_fewer_than_two_classes_rejected(self, num_classes):
+        with pytest.raises(ValueError, match="num_classes"):
+            DatasetSchema(2, ["m0", "m1"], 4, num_classes)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             DatasetSchema(2, ["x", "x"], 4, 2)
@@ -225,6 +240,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split([1, 2, 3], (0.5, 0.2, 0.2), seed=0)
 
+    @pytest.mark.parametrize("ratios", [(float("nan"), 0.5, 0.5), (0.6, float("inf"), 0.4),
+                                        (1.2, -0.1, -0.1)])
+    def test_non_finite_or_negative_ratios_rejected(self, ratios):
+        with pytest.raises(ValueError, match="finite positive"):
+            split([1, 2, 3], ratios, seed=0)
+
 
 class TestContainer:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -332,6 +353,44 @@ class TestContainer:
         with pytest.raises(DataFormatError, match="non-finite") as info:
             load_dataset(path)
         assert str(path) in str(info.value) and f"'{bad.sample_id}'" in str(info.value)
+
+    def test_fully_missing_sample_names_file_and_sample(self, tmp_path):
+        path = tmp_path / "data.sfds"
+        path.write_bytes(container(schema2(r=2), [("s1", 0, (1, 1), b"")]))
+        with pytest.raises(DataFormatError, match="every modality missing") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value) and "'s1'" in str(info.value)
+
+    def test_empty_instance_bag_names_file_and_sample(self, tmp_path):
+        payload = np.zeros(2).tobytes()
+        path = tmp_path / "data.sfds"
+        path.write_bytes(container(schema2(r=2, bags=(1,)),
+                                   [("s1", 0, (0, 0), payload + struct.pack("<I", 0))]))
+        with pytest.raises(DataFormatError, match="empty instance bag") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value) and "'s1'" in str(info.value)
+
+    def test_save_rejects_what_load_rejects_and_writes_nothing(self, tmp_path):
+        s = schema2(r=2, bags=(1,))
+        fully_missing, empty_bag = complete(generate(s, n=2, seed=29))
+        fully_missing.mask[:] = 1
+        fully_missing.slots = [None, None]
+        empty_bag.slots[1] = []
+        for sample, match in ((fully_missing, "every modality missing"),
+                              (empty_bag, "empty instance bag")):
+            path = tmp_path / "data.sfds"
+            with pytest.raises(DataFormatError, match=match):
+                save_dataset(path, s, [sample])
+            assert not path.exists()
+
+    def test_schema_with_one_class_rejected_on_load(self, tmp_path):
+        header = schema2(r=2).to_dict()
+        header["num_classes"] = 1
+        blob = json.dumps(header).encode()
+        path = tmp_path / "bad.sfds"
+        path.write_bytes(b"SFDS" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0))
+        with pytest.raises(DataFormatError, match="num_classes"):
+            load_dataset(path)
 
     def test_text_export_row_count(self, tmp_path):
         s = schema2(bags=(1,))

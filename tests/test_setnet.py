@@ -14,7 +14,8 @@ from setfusion.setnet import (
     phase2_loss,
     predict_proba,
 )
-from setfusion.tensor import Tensor, no_grad, softmax_cross_entropy
+from setfusion.nn import Dense
+from setfusion.tensor import Tensor, no_grad, relu, softmax_cross_entropy
 
 
 def make_models(seed=0, d=3, r=6, d_l=4, num_classes=2, aggregator="mean"):
@@ -75,6 +76,30 @@ class TestAggregate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             aggregate([Tensor([1.0])], "median")
+
+
+class TestSetClassifier:
+    @pytest.mark.parametrize("hidden", [(8,), (8, 6), (8, 4, 3)])
+    def test_builds_exactly_the_given_layers(self, hidden):
+        model = SetClassifier(5, 3, SeededRng(0), hidden=hidden)
+        widths = [5, *hidden, 3]
+        assert [layer.weight.shape for layer in model.layers] == [
+            (widths[i + 1], widths[i]) for i in range(len(widths) - 1)
+        ]
+        assert model.rho(Tensor(np.ones(5))).shape == (3,)
+
+    def test_matches_a_hand_built_three_layer_head(self):
+        """Same names, init draws and relu placement as Dense layers built in order."""
+        model = SetClassifier(4, 2, SeededRng(3), hidden=(8, 6))
+        rng = SeededRng(3)
+        layers = [Dense(4, 8, rng, "rho/0"), Dense(8, 6, rng, "rho/1"), Dense(6, 2, rng, "rho/2")]
+        params = model.named_parameters()
+        assert list(params) == ["rho/0/w", "rho/0/b", "rho/1/w", "rho/1/b", "rho/2/w", "rho/2/b"]
+        for layer in layers:
+            assert params[layer.weight.name].data.tobytes() == layer.weight.data.tobytes()
+        x = Tensor(SeededRng(4).normal(4))
+        expected = layers[2](relu(layers[1](relu(layers[0](x)))))
+        assert model.rho(x).data.tobytes() == expected.data.tobytes()
 
 
 class TestSetObservation:

@@ -8,6 +8,7 @@ from setfusion.encoder import Encoder, parameter_checksum
 from setfusion.errors import ContractError
 from setfusion.rng import SeededRng
 from setfusion.setnet import SetClassifier, SetObservation, phase2_loss
+from setfusion.tensor import Tensor, softmax_cross_entropy
 from setfusion.trainer import (
     EarlyStopper,
     TrainConfig,
@@ -72,6 +73,22 @@ class TestEarlyStopper:
     def test_invalid_patience(self):
         with pytest.raises(ValueError):
             EarlyStopper(patience=0)
+
+
+class TestTrainLoop:
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_stream_rejected_before_any_step(self, empty):
+        w = Tensor(np.zeros(2), requires_grad=True, name="w")
+        calls = []
+
+        def item_loss(item):
+            calls.append(item)
+            return softmax_cross_entropy(w, item)
+
+        train, val = ([], [0]) if empty == "training" else ([0, 1], [])
+        with pytest.raises(ValueError, match=f"empty {empty} stream"):
+            _train_loop({"w": w}, item_loss, train, val, small_cfg(), 3, SeededRng(0), "probe")
+        assert calls == []
 
 
 class TestCollectItems:
