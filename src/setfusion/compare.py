@@ -129,6 +129,9 @@ class ComparisonResult:
         scenario = next((sc for sc in self.scenarios if sc.name == assertion.scenario), None)
         if scenario is None:
             raise ValueError(f"assertion names unknown scenario {assertion.scenario!r}")
+        for model in (assertion.lhs, assertion.rhs):
+            if model != "best_unimodal" and model not in scenario.models:
+                raise ValueError(f"scenario {assertion.scenario!r} does not run model {model!r}")
         lhs_mean = self.mean(assertion.scenario, assertion.lhs, assertion.metric)
         if assertion.rhs == "best_unimodal":
             candidates = [m for m in scenario.models if m.startswith("unimodal_")]

@@ -21,10 +21,15 @@ def tiny_scenario(**overrides) -> Scenario:
     return Scenario(**fields)
 
 
-def test_check_names_an_unknown_scenario():
+@pytest.mark.parametrize("scenario, lhs, rhs, unknown", [
+    ("elsewhere", "unimodal_0", "unimodal_0", "'elsewhere'"),
+    ("tiny", "zero_fill", "unimodal_0", "'zero_fill'"),
+    ("tiny", "unimodal_0", "late_fusion", "'late_fusion'"),
+])
+def test_check_names_what_the_result_does_not_hold(scenario, lhs, rhs, unknown):
     result = scenario_compare([tiny_scenario()], seeds=[0], base_cfg=TINY)
-    with pytest.raises(ValueError, match="'elsewhere'"):
-        result.check(OrderingAssertion(scenario="elsewhere", lhs="unimodal_0", rhs="unimodal_0"))
+    with pytest.raises(ValueError, match=unknown):
+        result.check(OrderingAssertion(scenario=scenario, lhs=lhs, rhs=rhs))
 
 
 def test_check_gives_a_verdict_for_a_known_scenario():
