@@ -77,6 +77,10 @@ class OrderingAssertion:
     metric: str = "accuracy"
     margin: float = 0.02
 
+    def __post_init__(self):
+        if self.metric not in METRIC_NAMES:
+            raise ValueError(f"assertion metric must be one of {METRIC_NAMES}, got {self.metric!r}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "OrderingAssertion":
         return cls(**d)

@@ -39,6 +39,12 @@ def test_check_gives_a_verdict_for_a_known_scenario():
     assert verdict.verdict == "TIE" and verdict.lhs_mean == verdict.rhs_mean
 
 
+@pytest.mark.parametrize("metric", ["acc", "n_eval"])
+def test_assertion_on_an_unreported_metric_rejected(metric):
+    with pytest.raises(ValueError, match=repr(metric)):
+        OrderingAssertion.from_dict({"scenario": "tiny", "lhs": "a", "rhs": "b", "metric": metric})
+
+
 def test_run_scenario_model_resolves_the_model_once(monkeypatch):
     calls = []
     original = compare._model_kind
