@@ -11,7 +11,6 @@ import configparser
 from importlib import resources
 
 from .errors import ConfigError
-from .setnet import AGGREGATOR_KINDS
 from .trainer import TrainConfig
 
 # section -> key -> (TrainConfig attribute, parser)
@@ -98,10 +97,6 @@ def parse_config(text: str) -> TrainConfig:
     if unknown_sections:
         raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
 
-    if values["aggregator"] not in AGGREGATOR_KINDS:
-        raise ConfigError(
-            f"[model] aggregator must be one of {AGGREGATOR_KINDS}, got {values['aggregator']!r}"
-        )
     values["split_ratios"] = (splits["split_train"], splits["split_val"], splits["split_test"])
     try:
         return TrainConfig(**values)

@@ -22,7 +22,7 @@ from .data import DatasetSchema, MaskedSample, check_split_ratios, split, to_set
 from .encoder import Encoder, EncoderConfig, parameter_checksum, phase1_loss
 from .errors import ContractError, NumericError
 from .metrics import MetricSet, accuracy_only, compute_metrics
-from .nn import parameters
+from .nn import AGGREGATOR_KINDS, parameters
 from .optim import Adam
 from .rng import SeededRng
 from .setnet import SetClassifier, SetObservation, phase2_loss, pool_set, predict_proba
@@ -64,6 +64,8 @@ class TrainConfig:
         if not (np.isfinite(self.mse_weight) and self.mse_weight >= 0):
             raise ValueError(f"mse_weight must be finite and >= 0, got {self.mse_weight}")
         check_split_ratios(self.split_ratios)
+        if self.aggregator not in AGGREGATOR_KINDS:
+            raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:

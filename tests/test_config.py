@@ -49,9 +49,9 @@ def test_zero_model_width_rejected(key):
     ("run", "beta1", "1.5"), ("run", "beta1", "-0.1"), ("run", "beta2", "1.0"),
     ("run", "beta2", "nan"),
     ("phase1", "mse_weight", "nan"), ("phase1", "mse_weight", "inf"),
-    ("phase1", "mse_weight", "-1"),
+    ("phase1", "mse_weight", "-1"), ("model", "aggregator", "median"),
 ])
-def test_invalid_optimizer_and_loss_values_rejected(section, key, value):
+def test_invalid_training_values_rejected(section, key, value):
     with pytest.raises(ConfigError, match=key):
         parse_config(with_value(section, key, value))
 

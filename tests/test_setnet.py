@@ -15,7 +15,7 @@ from setfusion.setnet import (
     predict_proba,
 )
 from setfusion.nn import Dense
-from setfusion.tensor import Tensor, no_grad, relu, softmax_cross_entropy
+from setfusion.tensor import Tensor, relu
 
 
 def make_models(seed=0, d=3, r=6, d_l=4, num_classes=2, aggregator="mean"):
