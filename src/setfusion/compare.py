@@ -210,6 +210,9 @@ def scenario_compare(
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate scenario names: {names}")
+    for sc in scenarios:  # an unknown model fails here, not after the runs before it
+        for model in sc.models:
+            _model_kind(model, sc)
     base_cfg = base_cfg or TrainConfig()
     tasks = [
         (scenario, model, seed, base_cfg)

@@ -58,10 +58,14 @@ def test_run_scenario_model_resolves_the_model_once(monkeypatch):
     assert calls == ["unimodal_0"]
 
 
-def test_unknown_model_rejected_before_data_is_generated(monkeypatch):
+@pytest.mark.parametrize("run", [
+    lambda: run_scenario_model(tiny_scenario(), "nope", 0, TINY),
+    lambda: scenario_compare([tiny_scenario(models=("unimodal_0", "nope"))], [0], TINY),
+], ids=["run_scenario_model", "scenario_compare"])
+def test_unknown_model_rejected_before_data_is_generated(monkeypatch, run):
     def no_data(*args, **kwargs):
         raise AssertionError("data generated for an unknown model")
 
     monkeypatch.setattr(compare, "generate", no_data)
     with pytest.raises(ValueError, match="unknown model 'nope'"):
-        run_scenario_model(tiny_scenario(), "nope", 0, TINY)
+        run()
