@@ -37,6 +37,7 @@ from .tensor import (
     add,
     backward,
     concat,
+    dense_stack,
     matmul,
     mean_of_scalars,
     mse,

@@ -15,14 +15,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .hypernet import HyperNetwork, modality_index
+from .hypernet import HyperNetwork
 from .nn import MLP, Dense, aggregate, parameters
 from .rng import SeededRng
 from .tensor import (
     Tensor,
     add,
     as_tensor,
-    linear,
+    dense_stack,
     mse,
     no_grad,
     scale,
@@ -66,7 +66,7 @@ class Encoder:
     def __init__(self, cfg: EncoderConfig, rng: SeededRng):
         self.cfg = cfg
         self.frozen = False
-        self._head_cache: dict[int, tuple[Tensor, Tensor]] = {}
+        self._frozen_stacks: list[list[tuple[Tensor, Tensor]]] = []
         self.backbone = MLP(
             [cfg.input_width, cfg.backbone_hidden, cfg.d_z],
             rng, "encoder/backbone", final_relu=True,
@@ -86,25 +86,16 @@ class Encoder:
             )
         return x
 
-    def _conditional_head(self, m) -> tuple[Tensor, Tensor]:
-        """Per-modality (weight, bias); cached once the encoder is frozen."""
-        idx = modality_index(m)
-        cached = self._head_cache.get(idx)
-        if cached is None:
-            with no_grad():
-                w, b = self.hypernet.generate_weights(idx)
-            cached = (Tensor(w.data), Tensor(b.data))
-            self._head_cache[idx] = cached
-        return cached
-
     def phi_forward(self, x, m) -> Tensor:
-        """Latent features e for one payload conditioned on its modality."""
+        """Latent features e for one payload conditioned on its modality.
+
+        Frozen, this is one `dense_stack` node: the backbone layers and
+        the modality's conditional layer that `freeze` generated.
+        """
         x = self._check_input(x)
-        z = self.backbone(x)
         if self.frozen:
-            w, b = self._conditional_head(m)
-            return linear(w, z, b)
-        return self.hypernet.conditional_linear(z, m)
+            return dense_stack(x, self._frozen_stacks[self.hypernet.index(m)])
+        return self.hypernet.conditional_linear(self.backbone(x), m)
 
     def phase1_forward(self, x, m) -> Phase1Output:
         x = self._check_input(x)
@@ -117,10 +108,15 @@ class Encoder:
         return aggregate([self.phi_forward(x, m) for x in xs], "max")
 
     def freeze(self) -> "Encoder":
+        """Make every parameter a constant and generate each modality's
+        conditional layer once; freeze again after writing parameters."""
         for p in self.named_parameters().values():
             p.requires_grad = False
+        backbone = [(layer.weight, layer.bias) for layer in self.backbone.layers]
+        with no_grad():
+            heads = [self.hypernet.generate_weights(m) for m in range(self.cfg.num_modalities)]
+        self._frozen_stacks = [[*backbone, head] for head in heads]
         self.frozen = True
-        self._head_cache.clear()
         return self
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .nn import Dense, parameters
 from .rng import SeededRng, glorot_uniform
-from .tensor import Tensor, linear, relu, row, segment
+from .tensor import Tensor, dense_stack, linear, row, segment
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,26 @@ class HyperNetwork:
         self.trunk = Dense(embed_dim, hidden, rng, f"{name}/trunk")
         self.head = Dense(hidden, d_l * d_z + d_l, rng, f"{name}/head")
 
+    def index(self, m) -> int:
+        """The dense index of modality `m`, checked against the table."""
+        idx = modality_index(m)
+        if not 0 <= idx < self.num_modalities:
+            raise ValueError(f"modality index {idx} out of range [0, {self.num_modalities})")
+        return idx
+
     def generate_weights(self, m) -> tuple[Tensor, Tensor]:
         """Weights and bias of the conditional layer for modality `m`.
 
         Pure in (parameters, modality index): repeated calls return
         identical values until a parameter update happens. Both are
-        views of the generator head's output, not copies.
+        views of the generator output (trunk, relu, head: one
+        `dense_stack` node), not copies.
         """
-        idx = modality_index(m)
-        if not 0 <= idx < self.num_modalities:
-            raise ValueError(f"modality index {idx} out of range [0, {self.num_modalities})")
-        code = relu(self.trunk(row(self.embedding, idx)))
-        flat = self.head(code)
+        idx = self.index(m)
+        flat = dense_stack(
+            row(self.embedding, idx),
+            [(self.trunk.weight, self.trunk.bias), (self.head.weight, self.head.bias)],
+        )
         split = self.d_l * self.d_z
         weight = segment(flat, 0, split, (self.d_l, self.d_z))
         bias = segment(flat, split, split + self.d_l, (self.d_l,))

@@ -4,12 +4,14 @@ This module is the one place that decides how a dense stack is built
 (`Dense`, `MLP`), how a list of feature vectors is pooled into one
 (`aggregate`) and how a model's parameters are collected
 (`parameters`). Every network in the package is assembled from them.
+An `MLP` call is one `dense_stack` graph node, however many layers it
+has.
 """
 
 from __future__ import annotations
 
 from .rng import SeededRng, glorot_uniform
-from .tensor import Tensor, linear, reduce, relu, stack
+from .tensor import Tensor, dense_stack, linear, reduce, stack
 
 import numpy as np
 
@@ -79,12 +81,8 @@ class MLP:
         ]
 
     def __call__(self, x: Tensor) -> Tensor:
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < last or self.final_relu:
-                x = relu(x)
-        return x
+        return dense_stack(x, [(layer.weight, layer.bias) for layer in self.layers],
+                           self.final_relu)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return parameters(*self.layers)

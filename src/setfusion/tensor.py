@@ -6,13 +6,19 @@ replays these closures over the recorded graph in reverse creation
 order, which equals reverse execution order for a single-threaded
 forward pass, visiting each recorded node exactly once.
 
+Node overhead, not arithmetic, bounds a batch-1 step, so a stack of
+dense layers with relu between them is one node (`dense_stack`): its
+forward and backward replay the per-layer numpy calls of `linear` and
+`relu` in their order, so results are bitwise those of the composition.
+
 Design constraints:
   - float64 everywhere; forward ops raise `NumericError` on NaN/Inf
     outputs instead of propagating them silently.
   - no broadcasting except bias-add (matrix + row vector); everything
     else must shape-match exactly.
-  - relu derivative at 0 is 0; `reduce(..., "max")` routes gradient to
-    the first argmax on ties.
+  - relu derivative at 0 is 0, also between the layers of a
+    `dense_stack`; `reduce(..., "max")` routes gradient to the first
+    argmax on ties.
   - a second `backward` without clearing leaf gradients is an error,
     not an accumulate.
 
@@ -115,14 +121,20 @@ class Tensor:
     __rmul__ = __mul__
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
-    """Internal fast constructor for op outputs."""
+def _check_finite(data: np.ndarray, op: str) -> None:
     # a non-finite element always drives the sum non-finite, so this
     # single reduction is a sound (and much cheaper) finiteness probe;
     # np.add.reduce skips ndarray.sum's Python wrapper
     if not math.isfinite(float(np.add.reduce(data, axis=None))):
         if not np.all(np.isfinite(data)):
             raise NumericError(f"{op} produced non-finite values")
+
+
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str | None) -> Tensor:
+    """Internal fast constructor for op outputs; `op=None` skips the
+    finiteness probe for data the caller has already probed."""
+    if op is not None:
+        _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -279,6 +291,63 @@ def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
         _acc(b, g)
 
     return _make(w.data @ x.data + b.data, (w, x, b), bwd, "linear")
+
+
+def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
+    """Dense layers (W, b) applied in turn to 1d x with relu between
+    them, and after the last one with `final_relu`; one graph node.
+
+    Bitwise equal to chaining `linear` and `relu`: each layer's
+    pre-activation is probed for non-finite values (a -inf the relu
+    would clamp still raises), and backward replays `linear`'s
+    per-layer gradient calls from the last layer to the first.
+    """
+    if not layers:
+        raise ValueError("dense_stack: no layers")
+    x = as_tensor(x)
+    parents = (x, *(t for pair in layers for t in pair))
+    # needs[i]: the input of layer i takes gradient; needs[-1]: the output does
+    needs = [x.requires_grad or x._bwd is not None]
+    for w, b in layers:
+        needs.append(needs[-1] or w.requires_grad or w._bwd is not None
+                     or b.requires_grad or b._bwd is not None)
+    record = _grad_enabled and needs[-1]
+    last = len(layers) - 1
+    inputs, masks = [], []
+    h = x.data
+    for i, (w, b) in enumerate(layers):
+        if w.data.ndim != 2 or h.ndim != 1 or w.shape[1] != h.shape[0]:
+            raise ShapeError(f"linear: shapes {w.shape} @ {h.shape} are not aligned")
+        if b.shape != (w.shape[0],):
+            raise ShapeError(f"linear: bias shape {b.shape} does not match output {w.shape[0]}")
+        inputs.append(h)
+        h = w.data @ h + b.data
+        _check_finite(h, "linear")
+        relu_after = i < last or final_relu
+        # None: no relu here, or no backward to need the mask
+        masks.append(h > 0 if relu_after and record else None)  # derivative at 0 is 0
+        if relu_after:
+            h = np.maximum(h, 0.0)
+
+    def bwd(g):
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            if masks[i] is not None:
+                g = g * masks[i]
+            if w.requires_grad or w._bwd is not None:
+                if w.grad is None and w._grad_buf is not None:
+                    w.grad = np.multiply(g[:, None], inputs[i][None, :], out=w._grad_buf)
+                else:
+                    _acc(w, g[:, None] * inputs[i][None, :])
+            g_in = w.data.T @ g if needs[i] else None
+            if i == 0 and g_in is not None:
+                _acc(x, g_in)
+            _acc(b, g)
+            if g_in is None:
+                return
+            g = g_in
+
+    return _make(h, parents, bwd, None)
 
 
 # ---------------------------------------------------------------------------

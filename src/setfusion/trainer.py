@@ -66,6 +66,9 @@ class TrainConfig:
         check_split_ratios(self.split_ratios)
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
+        for name in ("seed", "positive_class"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:
@@ -77,6 +80,14 @@ class TrainConfig:
         if len(self.rho_hidden) != 2 or min(self.rho_hidden) < 1:
             raise ValueError(
                 f"rho_hidden must be exactly two positive widths, got {self.rho_hidden}"
+            )
+
+    def check_schema(self, schema: DatasetSchema) -> None:
+        """Reject values that do not fit the dataset, before any training."""
+        if self.positive_class >= schema.num_classes:
+            raise ValueError(
+                f"positive_class {self.positive_class} is not a class of a "
+                f"{schema.num_classes}-class schema"
             )
 
     def encoder_config(self, schema: DatasetSchema) -> EncoderConfig:
@@ -338,6 +349,7 @@ def run_full(
     instead (no freeze; stage-2 checksums will differ).
     """
     started = time.perf_counter()
+    cfg.check_schema(schema)
     train, val, test = split(samples, cfg.split_ratios, seed=(cfg.seed, "split"))
     if not train or not val or not test:
         raise ValueError(f"split of {len(samples)} samples left an empty part")

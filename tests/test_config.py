@@ -50,6 +50,7 @@ def test_zero_model_width_rejected(key):
     ("run", "beta2", "nan"),
     ("phase1", "mse_weight", "nan"), ("phase1", "mse_weight", "inf"),
     ("phase1", "mse_weight", "-1"), ("model", "aggregator", "median"),
+    ("run", "seed", "-1"), ("data", "positive_class", "-1"),
 ])
 def test_invalid_training_values_rejected(section, key, value):
     with pytest.raises(ConfigError, match=key):

@@ -265,6 +265,8 @@ class TestFreezeContract:
 
 
 class TestFrozenHeadCache:
+    """`freeze` generates every modality's conditional layer once."""
+
     def test_frozen_output_equals_unfrozen_output_bitwise(self):
         enc = make_encoder(seed=3)
         xs = [SeededRng((3, i)).normal(6) for i in range(4)]
@@ -273,17 +275,28 @@ class TestFrozenHeadCache:
         enc.freeze()
         for (i, m), expected in live.items():
             assert enc.phi_forward(xs[i], m).data.tobytes() == expected
-        assert sorted(enc._head_cache) == [0, 1, 2]
 
     def test_freeze_clears_the_head_cache(self):
         enc = make_encoder(seed=4).freeze()
         x = SeededRng(5).normal(6)
         stale = enc.phi_forward(x, 1).data.copy()
-        assert list(enc._head_cache) == [1]
         enc.hypernet.head.bias.data[:] += 1.0  # e.g. weights restored after freezing
         enc.freeze()
-        assert enc._head_cache == {}
-        assert np.any(enc.phi_forward(x, 1).data != stale)
+        fresh = enc.phi_forward(x, 1).data
+        assert np.any(fresh != stale)
+        live = enc.hypernet.conditional_linear(enc.backbone(Tensor(x)), 1)
+        assert fresh.tobytes() == live.data.tobytes()
+
+    @pytest.mark.parametrize("m", [-1, 3])
+    def test_out_of_range_modality_rejected_as_when_unfrozen(self, m):
+        enc = make_encoder(seed=5)
+        x = SeededRng(6).normal(6)
+        with pytest.raises(ValueError) as live:
+            enc.phi_forward(x, m)
+        enc.freeze()
+        with pytest.raises(ValueError) as frozen:
+            enc.phi_forward(x, m)
+        assert str(frozen.value) == str(live.value) == f"modality index {m} out of range [0, 3)"
 
 
 class TestTrainability:

@@ -3,8 +3,9 @@ import pytest
 
 from setfusion import nn, setnet
 from setfusion.nn import MLP, Dense, parameters
+from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor
+from setfusion.tensor import Tensor, mean_of_scalars, reduce, relu
 
 
 def test_parameters_keeps_part_order_and_names():
@@ -27,3 +28,30 @@ def test_parameters_rejects_a_repeated_name():
 def test_setnet_reexports_the_one_pooling_function():
     assert setnet.aggregate is nn.aggregate
     assert setnet.AGGREGATOR_KINDS is nn.AGGREGATOR_KINDS
+
+
+@pytest.mark.parametrize("final_relu", [False, True])
+@pytest.mark.parametrize("widths", [[4, 3], [4, 6, 3], [4, 6, 5, 3], [4, 6, 5, 4, 3]])
+def test_mlp_call_is_one_node_bitwise_equal_to_its_dense_layers(widths, final_relu):
+    def run(fused):
+        mlp = MLP(widths, SeededRng(7), "mlp", final_relu=final_relu)
+        params = mlp.named_parameters()
+        Adam(params)
+        xs = [Tensor(SeededRng((7, i)).normal(widths[0]), requires_grad=True) for i in range(3)]
+        outs = []
+        for x in xs:
+            if fused:
+                out = mlp(x)
+                assert out._parents[0] is x  # one node straight over the input
+            else:
+                out = x
+                for i, layer in enumerate(mlp.layers):
+                    out = layer(out)
+                    if i < len(mlp.layers) - 1 or final_relu:
+                        out = relu(out)
+            outs.append(out)
+        mean_of_scalars([reduce(o, 0, "sum") for o in outs]).backward()
+        return ([o.data.tobytes() for o in outs] + [x.grad.tobytes() for x in xs]
+                + [p.grad.tobytes() for p in params.values()])
+
+    assert run(fused=True) == run(fused=False)

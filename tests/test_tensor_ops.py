@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setfusion.errors import ContractError, NumericError, ShapeError
+from setfusion.optim import Adam
 from setfusion.rng import SeededRng
 from setfusion.tensor import (
     Tensor,
     add,
     concat,
+    dense_stack,
     linear,
     matmul,
     mean_of_scalars,
@@ -309,6 +311,107 @@ class TestLinear:
         b = Tensor(b0, requires_grad=True)
         reduce(relu(add(matmul(w, Tensor(x0)), b)), 0, "sum").backward()
         assert (w.grad.tobytes(), b.grad.tobytes()) == grads[False]
+
+
+def chained(x, layers, final_relu):
+    """The reference `dense_stack` replays: linear and relu nodes in turn."""
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        x = linear(w, x, b)
+        if i < last or final_relu:
+            x = relu(x)
+    return x
+
+
+class TestDenseStack:
+    @staticmethod
+    def weights(widths, rng, integer):
+        """Leaves for a stack; integer values put exact zeros at the relu kinks."""
+        def draw(shape):
+            return np.round(rng.normal(shape) * 1.5) if integer else rng.normal(shape)
+
+        return [(draw((o, i)), draw(o)) for i, o in zip(widths[:-1], widths[1:])]
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
+    @pytest.mark.parametrize("owned", [False, True], ids=["allocated", "adam_buffer"])
+    @pytest.mark.parametrize("x_takes_grad", [False, True])
+    @pytest.mark.parametrize("final_relu", [False, True])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_bitwise_equal_to_linear_relu_chain(self, depth, final_relu, x_takes_grad, owned, integer):
+        rng = SeededRng((depth, final_relu, x_takes_grad, owned, integer))
+        widths = [5, 7, 6, 4, 3][: depth + 1]
+        raw = self.weights(widths, rng, integer)
+        xs0 = [self.weights([1, widths[0]], rng, integer)[0][1] for _ in range(3)]
+
+        def run(op):
+            layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in raw]
+            leaves = [t for pair in layers for t in pair]
+            xs = [Tensor(x, requires_grad=x_takes_grad) for x in xs0]
+            if owned:
+                Adam({str(i): t for i, t in enumerate(leaves)})
+            # the same weight set three times in one graph: three contributions each
+            outs = [op(x, layers, final_relu) for x in xs]
+            mean_of_scalars([reduce(o, 0, "sum") for o in outs]).backward()
+            assert all(np.shares_memory(t.grad, t._grad_buf) == owned for t in leaves)
+            got = [o.data.tobytes() for o in outs] + [t.grad.tobytes() for t in leaves]
+            if x_takes_grad:
+                got += [x.grad.tobytes() for x in xs]
+            else:
+                assert all(x.grad is None for x in xs)
+            return got
+
+        assert run(dense_stack) == run(chained)
+
+    def test_one_node_over_an_input_that_takes_gradient(self):
+        rng = SeededRng(3)
+        layers = [(Tensor(w), Tensor(b)) for w, b in self.weights([4, 6, 2], rng, False)]
+        x = Tensor(rng.normal(4), requires_grad=True)
+        hidden = scale(x, 2.0)
+        out = dense_stack(hidden, layers)
+        assert out._parents[0] is hidden and out._parents[0]._parents == (x,)
+        reduce(out, 0, "sum").backward()
+        reference = Tensor(x.data, requires_grad=True)
+        reduce(chained(scale(reference, 2.0), layers, False), 0, "sum").backward()
+        assert x.grad.tobytes() == reference.grad.tobytes()
+
+    def test_constant_stack_records_nothing(self):
+        rng = SeededRng(4)
+        layers = [(Tensor(w), Tensor(b)) for w, b in self.weights([4, 3, 2], rng, False)]
+        out = dense_stack(Tensor(rng.normal(4)), layers, final_relu=True)
+        assert out._bwd is None and not out.requires_grad
+        with no_grad():
+            trained = [(Tensor(w.data, requires_grad=True), b) for w, b in layers]
+            assert dense_stack(Tensor(rng.normal(4)), trained)._bwd is None
+
+    @pytest.mark.parametrize("w1", [[[-10.0, -10.0]], [[10.0, -10.0]]], ids=["minus_inf", "nan"])
+    def test_inner_non_finite_pre_activation_raises(self, w1):
+        # layer 1 of 3 overflows to -inf (or inf - inf = nan); the relu
+        # after it would clamp -inf to 0, so the output alone looks finite
+        layers = [
+            (Tensor([[1.0], [1.0]]), Tensor([0.0, 0.0])),
+            (Tensor(w1), Tensor([0.0])),
+            (Tensor([[1.0]]), Tensor([0.0])),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op in (chained, dense_stack):
+                with pytest.raises(NumericError, match="linear produced non-finite"):
+                    op(Tensor([1e308]), layers, False)
+
+    def test_shape_errors_match_linear(self):
+        w, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(3))
+        good = (Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+        for layers, x in [
+            ([(w, b)], Tensor(np.zeros(5))),
+            ([good, (w, b)], Tensor(np.zeros(3))),
+            ([(w, Tensor(np.zeros(2)))], Tensor(np.zeros(4))),
+        ]:
+            with pytest.raises(ShapeError) as fused:
+                dense_stack(x, layers)
+            with pytest.raises(ShapeError) as reference:
+                chained(x, layers, False)
+            assert str(fused.value) == str(reference.value)
+        with pytest.raises(ValueError, match="no layers"):
+            dense_stack(Tensor(np.zeros(4)), [])
 
 
 class TestBackwardContract:

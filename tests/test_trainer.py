@@ -3,8 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from setfusion import baselines, trainer
 from setfusion.data import DatasetSchema, apply_missingness, complete, generate, to_set
-from setfusion.encoder import Encoder, parameter_checksum
+from setfusion.encoder import Encoder, parameter_checksum, phase1_loss
 from setfusion.errors import ContractError
 from setfusion.rng import SeededRng
 from setfusion.setnet import SetClassifier, SetObservation, phase2_loss
@@ -319,3 +320,71 @@ class TestRunFull:
         cfg = small_cfg(seed=seed, lr=3e-3, max_epochs_phase1=25, max_epochs_phase2=25)
         report, _, _ = run_full(cfg, schema, masked)
         assert report.metrics.accuracy >= 0.95
+
+
+class TestPositiveClass:
+    @pytest.mark.parametrize("field", ["seed", "positive_class"])
+    def test_negative_value_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            small_cfg(**{field: -1})
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "_train_loop", refuse)
+        monkeypatch.setattr(baselines, "_train_loop", refuse)
+
+    @pytest.mark.parametrize("two_steps", [True, False])
+    def test_run_full_rejects_a_class_outside_the_schema(self, no_training, two_steps):
+        schema, masked = tiny_dataset(n=30, seed=13)
+        cfg = small_cfg(positive_class=2, two_steps=two_steps)
+        with pytest.raises(ValueError, match="positive_class 2 is not a class of a 2-class schema"):
+            run_full(cfg, schema, masked)
+
+    @pytest.mark.parametrize("kind", [baselines.BaselineKind.unimodal(0),
+                                      baselines.BaselineKind.zero_fill_multimodal(),
+                                      baselines.BaselineKind.late_fusion_average()])
+    def test_run_baseline_rejects_a_class_outside_the_schema(self, no_training, kind):
+        schema, masked = tiny_dataset(n=30, seed=14)
+        with pytest.raises(ValueError, match="positive_class 2 is not a class"):
+            baselines.run_baseline(kind, schema, masked[:10], masked[10:20], masked[20:],
+                                   small_cfg(positive_class=2))
+
+
+def graph_nodes(loss):
+    """Recorded op nodes reachable from `loss` through `_parents`."""
+    seen, todo = set(), [loss]
+    while todo:
+        t = todo.pop()
+        if t not in seen:
+            seen.add(t)
+            todo.extend(t._parents)
+    return sum(t._bwd is not None for t in seen)
+
+
+class TestGraphSize:
+    """Each dense stack is one node; a change that grows the graph back fails here."""
+
+    def setup_method(self):
+        self.cfg = small_cfg()
+        schema, _ = tiny_dataset(n=6)
+        self.enc = Encoder(self.cfg.encoder_config(schema), SeededRng(1))
+        self.x = Tensor(SeededRng(2).normal(schema.payload_width))
+
+    def test_stage1_item_is_11_nodes(self):
+        # backbone, row, generator, 2 head segments, conditional linear,
+        # decoder, unimodal classifier, mse, cross-entropy, add
+        loss = phase1_loss(self.enc.phase1_forward(self.x, 1), 0)
+        assert graph_nodes(loss) == 11
+
+    def test_rho_step_is_2_nodes(self):
+        model = SetClassifier(self.cfg.d_l, 2, SeededRng(3), hidden=self.cfg.rho_hidden)
+        latent = Tensor(SeededRng(4).normal(self.cfg.d_l))  # a pooled latent is a constant
+        assert graph_nodes(softmax_cross_entropy(model.rho(latent), 1)) == 2
+
+    def test_frozen_phi_is_1_node(self):
+        self.enc.freeze()
+        payload = Tensor(self.x.data, requires_grad=True)
+        assert graph_nodes(self.enc.phi_forward(payload, 1)) == 1
