@@ -30,11 +30,6 @@ class ModalityId:
             raise ValueError(f"modality index must be non-negative, got {self.index}")
 
 
-def modality_index(m) -> int:
-    """The dense index of a ModalityId or a plain integer."""
-    return m.index if isinstance(m, ModalityId) else int(m)
-
-
 class HyperNetwork:
     """Emits (weight, bias) of a d_z -> d_l dense layer per modality."""
 
@@ -62,8 +57,9 @@ class HyperNetwork:
         self.head = Dense(hidden, d_l * d_z + d_l, rng, f"{name}/head")
 
     def index(self, m) -> int:
-        """The dense index of modality `m`, checked against the table."""
-        idx = modality_index(m)
+        """The dense index of a ModalityId or a plain integer, checked
+        against the embedding table."""
+        idx = m.index if isinstance(m, ModalityId) else int(m)
         if not 0 <= idx < self.num_modalities:
             raise ValueError(f"modality index {idx} out of range [0, {self.num_modalities})")
         return idx
