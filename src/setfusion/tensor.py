@@ -305,41 +305,36 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
     if not layers:
         raise ValueError("dense_stack: no layers")
     x = as_tensor(x)
-    parents = (x, *(t for pair in layers for t in pair))
-    # needs[i]: the input of layer i takes gradient; needs[-1]: the output does
-    needs = [x.requires_grad or x._bwd is not None]
-    for w, b in layers:
-        needs.append(needs[-1] or w.requires_grad or w._bwd is not None
-                     or b.requires_grad or b._bwd is not None)
-    record = _grad_enabled and needs[-1]
     last = len(layers) - 1
-    inputs, masks = [], []
+    need = x.requires_grad or x._bwd is not None  # the current layer's input takes gradient
+    steps = []  # per layer: its input, pre-activation (None: no relu), whether the input takes gradient
     h = x.data
     for i, (w, b) in enumerate(layers):
         if w.data.ndim != 2 or h.ndim != 1 or w.shape[1] != h.shape[0]:
             raise ShapeError(f"linear: shapes {w.shape} @ {h.shape} are not aligned")
         if b.shape != (w.shape[0],):
             raise ShapeError(f"linear: bias shape {b.shape} does not match output {w.shape[0]}")
-        inputs.append(h)
-        h = w.data @ h + b.data
-        _check_finite(h, "linear")
+        y = w.data @ h + b.data
+        _check_finite(y, "linear")
         relu_after = i < last or final_relu
-        # None: no relu here, or no backward to need the mask
-        masks.append(h > 0 if relu_after and record else None)  # derivative at 0 is 0
-        if relu_after:
-            h = np.maximum(h, 0.0)
+        steps.append((h, y if relu_after else None, need))
+        h = np.maximum(y, 0.0) if relu_after else y
+        need = need or w.requires_grad or w._bwd is not None or b.requires_grad or b._bwd is not None
+    if not (_grad_enabled and need):
+        return _make(h, (), None, None)  # nothing to record
 
     def bwd(g):
         for i in range(last, -1, -1):
             w, b = layers[i]
-            if masks[i] is not None:
-                g = g * masks[i]
+            x_in, pre, need_in = steps[i]
+            if pre is not None:
+                g = g * (pre > 0)  # relu derivative at exactly 0 is 0
             if w.requires_grad or w._bwd is not None:
                 if w.grad is None and w._grad_buf is not None:
-                    w.grad = np.multiply(g[:, None], inputs[i][None, :], out=w._grad_buf)
+                    w.grad = np.multiply(g[:, None], x_in[None, :], out=w._grad_buf)
                 else:
-                    _acc(w, g[:, None] * inputs[i][None, :])
-            g_in = w.data.T @ g if needs[i] else None
+                    _acc(w, g[:, None] * x_in[None, :])
+            g_in = w.data.T @ g if need_in else None
             if i == 0 and g_in is not None:
                 _acc(x, g_in)
             _acc(b, g)
@@ -347,7 +342,7 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
                 return
             g = g_in
 
-    return _make(h, parents, bwd, None)
+    return _make(h, (x, *(t for pair in layers for t in pair)), bwd, None)
 
 
 # ---------------------------------------------------------------------------
