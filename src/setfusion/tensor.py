@@ -306,8 +306,9 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
         raise ValueError("dense_stack: no layers")
     x = as_tensor(x)
     last = len(layers) - 1
-    need = x.requires_grad or x._bwd is not None  # the current layer's input takes gradient
-    steps = []  # per layer: its input, pre-activation (None: no relu), whether the input takes gradient
+    need = x.requires_grad or x._bwd is not None  # this layer's input takes gradient
+    # per layer: its input, its pre-activation (None: no relu after it), need
+    steps = []
     h = x.data
     for i, (w, b) in enumerate(layers):
         if w.data.ndim != 2 or h.ndim != 1 or w.shape[1] != h.shape[0]:
@@ -319,7 +320,8 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
         relu_after = i < last or final_relu
         steps.append((h, y if relu_after else None, need))
         h = np.maximum(y, 0.0) if relu_after else y
-        need = need or w.requires_grad or w._bwd is not None or b.requires_grad or b._bwd is not None
+        need = (need or w.requires_grad or w._bwd is not None
+                or b.requires_grad or b._bwd is not None)
     if not (_grad_enabled and need):
         return _make(h, (), None, None)  # nothing to record
 

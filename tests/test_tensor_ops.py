@@ -337,14 +337,16 @@ class TestDenseStack:
     @pytest.mark.parametrize("x_takes_grad", [False, True])
     @pytest.mark.parametrize("final_relu", [False, True])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-    def test_bitwise_equal_to_linear_relu_chain(self, depth, final_relu, x_takes_grad, owned, integer):
+    def test_bitwise_equal_to_linear_relu_chain(self, depth, final_relu, x_takes_grad, owned,
+                                                integer):
         rng = SeededRng((depth, final_relu, x_takes_grad, owned, integer))
         widths = [5, 7, 6, 4, 3][: depth + 1]
         raw = self.weights(widths, rng, integer)
         xs0 = [self.weights([1, widths[0]], rng, integer)[0][1] for _ in range(3)]
 
         def run(op):
-            layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in raw]
+            layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+                      for w, b in raw]
             leaves = [t for pair in layers for t in pair]
             xs = [Tensor(x, requires_grad=x_takes_grad) for x in xs0]
             if owned:
