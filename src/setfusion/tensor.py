@@ -133,7 +133,8 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str | None) -> Tensor:
     """Internal fast constructor for op outputs; `op=None` skips the
     finiteness probe for data the caller has already probed."""
-    if op is not None:
+    # the probe of _check_finite, inlined because every op pays for it
+    if op is not None and not math.isfinite(float(np.add.reduce(data, axis=None))):
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
