@@ -1,6 +1,6 @@
 import numpy as np
 
-from setfusion.tensor import Tensor
+from setfusion.tensor import Tensor, linear, relu
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -40,3 +40,13 @@ def check_gradient(build_loss, x0: np.ndarray, h: float = 1e-5) -> float:
     loss.backward()
     numeric = central_difference(lambda arr: build_loss(Tensor(arr)).item(), x0, h=h)
     return rel_err(leaf.grad, numeric)
+
+
+def chained(x, layers, final_relu):
+    """The reference `dense_stack` replays: linear and relu nodes in turn."""
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        x = linear(w, x, b)
+        if i < last or final_relu:
+            x = relu(x)
+    return x

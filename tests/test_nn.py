@@ -5,7 +5,9 @@ from setfusion import nn, setnet
 from setfusion.nn import MLP, Dense, parameters
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, mean_of_scalars, reduce, relu
+from setfusion.tensor import Tensor, mean_of_scalars, reduce
+
+from conftest import chained
 
 
 def test_parameters_keeps_part_order_and_names():
@@ -44,11 +46,7 @@ def test_mlp_call_is_one_node_bitwise_equal_to_its_dense_layers(widths, final_re
                 out = mlp(x)
                 assert out._parents[0] is x  # one node straight over the input
             else:
-                out = x
-                for i, layer in enumerate(mlp.layers):
-                    out = layer(out)
-                    if i < len(mlp.layers) - 1 or final_relu:
-                        out = relu(out)
+                out = chained(x, [(layer.weight, layer.bias) for layer in mlp.layers], final_relu)
             outs.append(out)
         mean_of_scalars([reduce(o, 0, "sum") for o in outs]).backward()
         return ([o.data.tobytes() for o in outs] + [x.grad.tobytes() for x in xs]

@@ -31,7 +31,7 @@ from setfusion.tensor import (
     sub,
 )
 
-from conftest import central_difference, check_gradient, rel_err
+from conftest import central_difference, chained, check_gradient, rel_err
 
 
 class TestMatmul:
@@ -311,16 +311,6 @@ class TestLinear:
         b = Tensor(b0, requires_grad=True)
         reduce(relu(add(matmul(w, Tensor(x0)), b)), 0, "sum").backward()
         assert (w.grad.tobytes(), b.grad.tobytes()) == grads[False]
-
-
-def chained(x, layers, final_relu):
-    """The reference `dense_stack` replays: linear and relu nodes in turn."""
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        x = linear(w, x, b)
-        if i < last or final_relu:
-            x = relu(x)
-    return x
 
 
 class TestDenseStack:
