@@ -11,7 +11,6 @@ from .data import (
     MaskedSample,
     MultimodalSample,
     apply_missingness,
-    complete,
     generate,
     load_dataset,
     save_dataset,

@@ -127,11 +127,11 @@ def generate(
     """Class-balanced samples around per-(class, modality) centroids."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if class_sep <= 0:
-        raise ValueError(f"class_sep must be positive, got {class_sep}")
+    if not (np.isfinite(class_sep) and class_sep > 0):
+        raise ValueError(f"class_sep must be finite and positive, got {class_sep}")
     sigmas = _noise_sigmas(noise_sigma, schema.num_modalities)
-    if any(s < 0 for s in sigmas):
-        raise ValueError(f"noise sigma must be >= 0, got {sigmas}")
+    if not all(np.isfinite(s) and s >= 0 for s in sigmas):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {sigmas}")
     lo, hi = bag_size_range
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid bag size range {bag_size_range}")
@@ -197,11 +197,6 @@ def apply_missingness(
         slots = [None if v[i] else s.payloads[i] for i in range(d)]
         masked.append(MaskedSample(slots=slots, label=s.label, mask=v, sample_id=s.sample_id))
     return masked
-
-
-def complete(samples: list[MultimodalSample]) -> list[MaskedSample]:
-    """View complete samples as masked samples with all-zero masks."""
-    return apply_missingness(samples, rate=0.0, mechanism="mcar", seed=0)
 
 
 def to_set(ms: MaskedSample, schema: DatasetSchema) -> SetObservation:

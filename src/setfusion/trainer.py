@@ -8,7 +8,9 @@ only the classifier head on those fixed vectors. Both stages share one
 loop: shuffled per-item Adam steps, per-epoch validation, early
 stopping on the validation loss with best-weight restore. A joint
 single-stage mode trains encoder and classifier together for ablation
-comparisons.
+comparisons. Either way `run_full` returns a frozen encoder, so every
+prediction after training uses the conditional layers `freeze`
+generated once.
 """
 
 from __future__ import annotations
@@ -326,6 +328,14 @@ def evaluate_sets(
     if not test_sets:
         raise ValueError("evaluate_sets: empty test set")
     num_classes = model.num_classes
+    for obs in test_sets:  # every label, before any prediction
+        if obs.label is None:
+            raise ContractError(f"unlabeled observation '{obs.sample_id}' in evaluation")
+        if obs.label not in range(num_classes):
+            raise ContractError(
+                f"label {obs.label!r} of '{obs.sample_id}' is not a class of a "
+                f"{num_classes}-class model"
+            )
     if num_classes == 2:
         scores = [
             (float(predict_proba(model, enc, obs)[positive_class]), obs.label)
@@ -346,7 +356,10 @@ def run_full(
     """Full pipeline: split, stage 1, freeze, stage 2, test metrics.
 
     With `cfg.two_steps` false, runs the joint single-stage ablation
-    instead (no freeze; stage-2 checksums will differ).
+    instead; its stage-2 checksums differ. Both modes return a frozen
+    encoder: the joint one is frozen after training, once both checksums
+    are taken, so its test metrics and later predictions run the frozen
+    path.
     """
     started = time.perf_counter()
     cfg.check_schema(schema)
@@ -379,6 +392,7 @@ def run_full(
         checksum_before = parameter_checksum(enc.named_parameters())
         p2 = train_joint(model, enc, train_sets, val_sets, cfg)
         checksum_after = parameter_checksum(enc.named_parameters())
+        enc.freeze()
 
     metrics = evaluate_sets(model, enc, test_sets, cfg.positive_class)
     report = TrainReport(

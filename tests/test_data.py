@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from setfusion.data import (
     DatasetSchema,
     apply_missingness,
-    complete,
     export_text,
     generate,
     load_dataset,
@@ -121,6 +120,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(schema2(), n=4, seed=0, noise_sigma=[0.5])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_class_sep_rejected(self, value):
+        with pytest.raises(ValueError, match="class_sep must be finite and positive"):
+            generate(schema2(), n=4, seed=0, class_sep=value)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, [0.5, np.nan], [np.inf, 0.5]])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            generate(schema2(), n=4, seed=0, noise_sigma=sigma)
+
 
 class TestMissingness:
     def test_rate_zero_keeps_everything(self):
@@ -185,7 +194,7 @@ class TestMissingness:
 class TestToSet:
     def test_complete_sample_keeps_all_modalities(self):
         s = schema3()
-        masked = complete(generate(s, n=1, seed=16))
+        masked = apply_missingness(generate(s, n=1, seed=16), rate=0.0)
         obs = to_set(masked[0], s)
         assert obs.q == 3
         assert [m.index for _, m in obs.elements] == [0, 1, 2]
@@ -193,7 +202,7 @@ class TestToSet:
 
     def test_middle_modality_missing(self):
         s = schema3()
-        masked = complete(generate(s, n=1, seed=17))[0]
+        masked = apply_missingness(generate(s, n=1, seed=17), rate=0.0)[0]
         masked.mask = np.array([0, 1, 0], dtype=np.uint8)
         masked.slots[1] = None
         obs = to_set(masked, s)
@@ -210,7 +219,7 @@ class TestToSet:
 
     def test_labels_and_ids_carried(self):
         s = schema2()
-        masked = complete(generate(s, n=3, seed=20))
+        masked = apply_missingness(generate(s, n=3, seed=20), rate=0.0)
         for m in masked:
             obs = to_set(m, s)
             assert obs.label == m.label and obs.sample_id == m.sample_id
@@ -271,7 +280,7 @@ class TestContainer:
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         s = schema2()
-        masked = complete(generate(s, n=5, seed=23))
+        masked = apply_missingness(generate(s, n=5, seed=23), rate=0.0)
         p1, p2 = tmp_path / "a.sfds", tmp_path / "b.sfds"
         save_dataset(p1, s, masked)
         save_dataset(p2, s, masked)
@@ -301,7 +310,8 @@ class TestContainer:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "data.sfds"
-        save_dataset(path, schema2(), complete(generate(schema2(), n=3, seed=26)))
+        masked = apply_missingness(generate(schema2(), n=3, seed=26), rate=0.0)
+        save_dataset(path, schema2(), masked)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(DataFormatError, match="4 trailing bytes"):
             load_dataset(path)
@@ -326,7 +336,7 @@ class TestContainer:
     ])
     def test_out_of_range_record_field_rejected(self, tmp_path, field, value, match):
         s = schema2(r=2)
-        masked = complete(generate(s, n=1, seed=27))
+        masked = apply_missingness(generate(s, n=1, seed=27), rate=0.0)
         path = tmp_path / "data.sfds"
         save_dataset(path, s, masked)
         blob = bytearray(path.read_bytes())
@@ -344,7 +354,7 @@ class TestContainer:
     @pytest.mark.parametrize("modality", [0, 1])  # a plain payload, a bag instance
     def test_non_finite_payload_names_file_and_sample(self, tmp_path, value, modality):
         s = schema2(r=3, bags=(1,))
-        masked = complete(generate(s, n=3, seed=28))
+        masked = apply_missingness(generate(s, n=3, seed=28), rate=0.0)
         bad = masked[1]
         target = bad.slots[modality] if modality == 0 else bad.slots[modality][-1]
         target[2] = value
@@ -372,7 +382,7 @@ class TestContainer:
 
     def test_save_rejects_what_load_rejects_and_writes_nothing(self, tmp_path):
         s = schema2(r=2, bags=(1,))
-        fully_missing, empty_bag = complete(generate(s, n=2, seed=29))
+        fully_missing, empty_bag = apply_missingness(generate(s, n=2, seed=29), rate=0.0)
         fully_missing.mask[:] = 1
         fully_missing.slots = [None, None]
         empty_bag.slots[1] = []

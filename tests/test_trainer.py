@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from setfusion import baselines, trainer
-from setfusion.data import DatasetSchema, apply_missingness, complete, generate, to_set
+from setfusion.data import DatasetSchema, apply_missingness, generate, split, to_set
 from setfusion.encoder import Encoder, parameter_checksum, phase1_loss
 from setfusion.errors import ContractError
+from setfusion.hypernet import HyperNetwork
 from setfusion.rng import SeededRng
-from setfusion.setnet import SetClassifier, SetObservation, phase2_loss
+from setfusion.setnet import SetClassifier, SetObservation, phase2_loss, predict_proba
 from setfusion.tensor import Tensor, softmax_cross_entropy
 from setfusion.trainer import (
     EarlyStopper,
@@ -34,11 +35,7 @@ def small_cfg(**overrides):
 def tiny_dataset(n=60, r=8, noise=0.5, seed=0, rate=0.0, bags=()):
     schema = DatasetSchema(2, ["m0", "m1"], r, 2, bag_modalities=bags)
     samples = generate(schema, n=n, seed=seed, class_sep=10.0, noise_sigma=noise)
-    if rate > 0:
-        masked = apply_missingness(samples, rate=rate, mechanism="mcar", seed=seed + 1)
-    else:
-        masked = complete(samples)
-    return schema, masked
+    return schema, apply_missingness(samples, rate=rate, mechanism="mcar", seed=seed + 1)
 
 
 class TestEarlyStopper:
@@ -311,7 +308,7 @@ class TestRunFull:
         cfg = small_cfg(seed=12, two_steps=False, max_epochs_phase2=4)
         report, enc, _ = run_full(cfg, schema, masked)
         assert report.phase1 is None
-        assert not enc.frozen
+        assert enc.frozen
         assert report.checksum_before_phase2 != report.checksum_after_phase2
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -320,6 +317,77 @@ class TestRunFull:
         cfg = small_cfg(seed=seed, lr=3e-3, max_epochs_phase1=25, max_epochs_phase2=25)
         report, _, _ = run_full(cfg, schema, masked)
         assert report.metrics.accuracy >= 0.95
+
+
+class TestJointFrozen:
+    """The joint `run_full` freezes its encoder once training is done."""
+
+    @staticmethod
+    def joint_run(aggregator):
+        schema, masked = tiny_dataset(n=40, rate=0.4, seed=15, bags=(1,))
+        cfg = small_cfg(seed=15, two_steps=False, max_epochs_phase2=3, aggregator=aggregator)
+        report, enc, model = run_full(cfg, schema, masked)
+        live = Encoder(cfg.encoder_config(schema), SeededRng(0))  # unfrozen copy
+        for name, p in live.named_parameters().items():
+            p.data[...] = enc.named_parameters()[name].data
+        _, _, test = split(masked, cfg.split_ratios, seed=(cfg.seed, "split"))
+        test_sets = [to_set(s, schema) for s in test]
+        return report, enc, live, model, [to_set(s, schema) for s in masked], test_sets
+
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max"])
+    def test_predictions_and_metrics_equal_the_live_path_bitwise(self, aggregator):
+        report, enc, live, model, sets, test_sets = self.joint_run(aggregator)
+        assert any(isinstance(p, list) for obs in sets for p, _ in obs.elements)  # bags
+        for obs in sets:
+            frozen = predict_proba(model, enc, obs)
+            assert frozen.tobytes() == predict_proba(model, live, obs).tobytes()
+        assert report.metrics == trainer.evaluate_sets(model, live, test_sets)
+
+    def test_prediction_generates_no_conditional_layer(self, monkeypatch):
+        _, enc, live, model, sets, test_sets = self.joint_run("max")
+        calls = []
+        generate = HyperNetwork.generate_weights
+        monkeypatch.setattr(HyperNetwork, "generate_weights",
+                            lambda self, m: calls.append(m) or generate(self, m))
+        trainer.evaluate_sets(model, enc, test_sets)
+        for obs in sets:
+            predict_proba(model, enc, obs)
+        assert calls == []
+        predict_proba(model, live, sets[0])  # the live path still generates per element
+        assert len(calls) > 0
+
+
+class TestEvaluateSetsLabels:
+    """A set `evaluate_sets` cannot score is rejected before any prediction."""
+
+    @staticmethod
+    def evaluate(num_classes, bad_label, monkeypatch):
+        schema = DatasetSchema(2, ["m0", "m1"], 8, num_classes)
+        masked = apply_missingness(generate(schema, n=6, seed=16), rate=0.0)
+        sets = [to_set(s, schema) for s in masked]
+        sets[-1].label = bad_label
+        cfg = small_cfg()
+        enc = Encoder(cfg.encoder_config(schema), SeededRng(0)).freeze()
+        model = SetClassifier(cfg.d_l, num_classes, SeededRng(1), hidden=cfg.rho_hidden)
+        predictions = []
+        monkeypatch.setattr(trainer, "predict_proba",
+                            lambda *args: predictions.append(args) or predict_proba(*args))
+        with pytest.raises(ContractError) as err:
+            trainer.evaluate_sets(model, enc, sets)
+        assert predictions == []
+        return str(err.value)
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_unlabeled_set_rejected(self, num_classes, monkeypatch):
+        message = self.evaluate(num_classes, None, monkeypatch)
+        assert message == "unlabeled observation 's000005' in evaluation"
+
+    @pytest.mark.parametrize("num_classes, label", [(2, 7), (2, -1), (3, 3)])
+    def test_label_outside_the_model_rejected(self, num_classes, label, monkeypatch):
+        message = self.evaluate(num_classes, label, monkeypatch)
+        assert message == (
+            f"label {label} of 's000005' is not a class of a {num_classes}-class model"
+        )
 
 
 class TestPositiveClass:
