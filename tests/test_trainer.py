@@ -331,8 +331,8 @@ class TestJointFrozen:
         for name, p in live.named_parameters().items():
             p.data[...] = enc.named_parameters()[name].data
         _, _, test = split(masked, cfg.split_ratios, seed=(cfg.seed, "split"))
-        test_sets = [to_set(s, schema) for s in test]
-        return report, enc, live, model, [to_set(s, schema) for s in masked], test_sets
+        sets = [to_set(s, schema) for s in masked]
+        return report, enc, live, model, sets, [to_set(s, schema) for s in test]
 
     @pytest.mark.parametrize("aggregator", ["sum", "mean", "max"])
     def test_predictions_and_metrics_equal_the_live_path_bitwise(self, aggregator):
@@ -346,9 +346,9 @@ class TestJointFrozen:
     def test_prediction_generates_no_conditional_layer(self, monkeypatch):
         _, enc, live, model, sets, test_sets = self.joint_run("max")
         calls = []
-        generate = HyperNetwork.generate_weights
+        generate_weights = HyperNetwork.generate_weights
         monkeypatch.setattr(HyperNetwork, "generate_weights",
-                            lambda self, m: calls.append(m) or generate(self, m))
+                            lambda self, m: calls.append(m) or generate_weights(self, m))
         trainer.evaluate_sets(model, enc, test_sets)
         for obs in sets:
             predict_proba(model, enc, obs)
