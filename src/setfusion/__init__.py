@@ -35,24 +35,18 @@ from .tensor import (
     Tensor,
     add,
     backward,
-    concat,
     dense_stack,
-    matmul,
     mean_of_scalars,
     mse,
-    mul,
     no_grad,
     reduce,
     relu,
-    reshape,
     row,
     scale,
     segment,
-    slice1d,
     softmax,
     softmax_cross_entropy,
     stack,
-    sub,
 )
 
 __version__ = "0.1.0"

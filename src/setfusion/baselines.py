@@ -48,24 +48,10 @@ def _record_fill(n: int = 1) -> None:
 
 @dataclass(frozen=True)
 class BaselineKind:
+    """One of the kinds above by name; `k` is the modality of `unimodal`."""
+
     name: str
     k: int | None = None
-
-    @classmethod
-    def unimodal(cls, k: int) -> "BaselineKind":
-        return cls("unimodal", k=k)
-
-    @classmethod
-    def zero_fill_multimodal(cls) -> "BaselineKind":
-        return cls("zero_fill_multimodal")
-
-    @classmethod
-    def mean_impute_multimodal(cls) -> "BaselineKind":
-        return cls("mean_impute_multimodal")
-
-    @classmethod
-    def late_fusion_average(cls) -> "BaselineKind":
-        return cls("late_fusion_average")
 
 
 class _BaselineNet:

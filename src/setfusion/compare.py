@@ -10,6 +10,7 @@ margin, tie inside the margin, or fail.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -80,9 +81,15 @@ class OrderingAssertion:
     def __post_init__(self):
         if self.metric not in METRIC_NAMES:
             raise ValueError(f"assertion metric must be one of {METRIC_NAMES}, got {self.metric!r}")
+        # a negative margin passes near-ties, a NaN one ties everything
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError(f"assertion margin must be finite and >= 0, got {self.margin!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "OrderingAssertion":
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"assertion on {d.get('scenario', '?')!r}: unknown keys {sorted(unknown)}")
         return cls(**d)
 
 
@@ -161,13 +168,13 @@ def _model_kind(model: str, scenario: Scenario) -> BaselineKind | None:
         k = int(model.split("_", 1)[1])
         if not 0 <= k < scenario.num_modalities:
             raise ValueError(f"{model}: modality index out of range for {scenario.name}")
-        return BaselineKind.unimodal(k)
+        return BaselineKind("unimodal", k=k)
     if model == "zero_fill":
-        return BaselineKind.zero_fill_multimodal()
+        return BaselineKind("zero_fill_multimodal")
     if model == "mean_impute":
-        return BaselineKind.mean_impute_multimodal()
+        return BaselineKind("mean_impute_multimodal")
     if model == "late_fusion":
-        return BaselineKind.late_fusion_average()
+        return BaselineKind("late_fusion_average")
     raise ValueError(f"unknown model {model!r}; expected one of {KNOWN_MODELS} or unimodal_<k>")
 
 

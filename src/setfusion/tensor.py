@@ -14,8 +14,8 @@ forward and backward replay the per-layer numpy calls of `linear` and
 Design constraints:
   - float64 everywhere; forward ops raise `NumericError` on NaN/Inf
     outputs instead of propagating them silently.
-  - no broadcasting except bias-add (matrix + row vector); everything
-    else must shape-match exactly.
+  - no broadcasting at all: the operands of an elementwise op (`add`,
+    `mse`) must shape-match exactly.
   - relu derivative at 0 is 0, also between the layers of a
     `dense_stack`; `reduce(..., "max")` routes gradient to the first
     argmax on ties.
@@ -91,11 +91,8 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A gradient-free leaf holding a copy of this tensor's current values."""
-        # built without __init__: the values were checked finite when this tensor was made
-        out = Tensor.__new__(Tensor)
-        out.data, out.grad, out.requires_grad, out.name = self.data.copy(), None, False, None
-        out._parents, out._bwd, out._seq, out._grad_buf = (), None, next(_seq_counter), None
-        return out
+        # no probe: the values were checked finite when this tensor was made
+        return _make(self.data.copy(), (), None, None)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -106,19 +103,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -131,8 +115,9 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str | None) -> Tensor:
-    """Internal fast constructor for op outputs; `op=None` skips the
-    finiteness probe for data the caller has already probed."""
+    """The one constructor of derived tensors (op outputs, detached
+    copies); `op=None` skips the finiteness probe for data the caller
+    has already probed."""
     # the probe of _check_finite, inlined because every op pays for it
     if op is not None and not math.isfinite(float(np.add.reduce(data, axis=None))):
         _check_finite(data, op)
@@ -180,42 +165,14 @@ def as_tensor(x) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape == b.shape:
-        def bwd(g):
-            _acc(a, g)
-            _acc(b, g)
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        # bias-add: matrix + row vector
-        def bwd(g):
-            _acc(a, g)
-            _acc(b, g.sum(axis=0))
-    else:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
-    return _make(a.data + b.data, (a, b), bwd, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not match")
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
 
     def bwd(g):
         _acc(a, g)
-        _acc(b, -g)
+        _acc(b, g)
 
-    return _make(a.data - b.data, (a, b), bwd, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not match")
-
-    def bwd(g):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), bwd, "mul")
+    return _make(a.data + b.data, (a, b), bwd, "add")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -242,38 +199,8 @@ def relu(a: Tensor) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports 2d@2d, 2d@1d (matvec) and 1d@2d (vecmat)."""
-    a, b = as_tensor(a), as_tensor(b)
-    na, nb = a.data.ndim, b.data.ndim
-    if na == 2 and nb == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not aligned")
-
-        def bwd(g):
-            _acc(a, g @ b.data.T)
-            _acc(b, a.data.T @ g)
-    elif na == 2 and nb == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not aligned")
-
-        def bwd(g):
-            _acc(a, g[:, None] * b.data[None, :])
-            _acc(b, a.data.T @ g)
-    elif na == 1 and nb == 2:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not aligned")
-
-        def bwd(g):
-            _acc(a, b.data @ g)
-            _acc(b, a.data[:, None] * g[None, :])
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    return _make(a.data @ b.data, (a, b), bwd, "matmul")
-
-
 def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    """Fused dense layer W x + b for 1d x; one graph node instead of two."""
+    """Fused dense layer W x + b for 1d x, as one graph node."""
     w, x, b = as_tensor(w), as_tensor(x), as_tensor(b)
     if w.data.ndim != 2 or x.data.ndim != 1 or w.shape[1] != x.shape[0]:
         raise ShapeError(f"linear: shapes {w.shape} @ {x.shape} are not aligned")
@@ -368,23 +295,6 @@ def stack(tensors: list[Tensor] | tuple[Tensor, ...]) -> Tensor:
     return _make(np.stack([t.data for t in ts]), tuple(ts), bwd, "stack")
 
 
-def concat(tensors: list[Tensor] | tuple[Tensor, ...]) -> Tensor:
-    """Concatenate 1d tensors."""
-    if not tensors:
-        raise ValueError("concat: empty tensor list")
-    ts = [as_tensor(t) for t in tensors]
-    if any(t.data.ndim != 1 for t in ts):
-        raise ShapeError(f"concat: expected 1d operands, got {[t.shape for t in ts]}")
-    sizes = [t.shape[0] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            _acc(t, g[lo:hi])
-
-    return _make(np.concatenate([t.data for t in ts]), tuple(ts), bwd, "concat")
-
-
 def row(a: Tensor, index: int) -> Tensor:
     """Select row `index` of a 2d tensor (differentiable embedding lookup)."""
     a = as_tensor(a)
@@ -426,21 +336,6 @@ def segment(a: Tensor, start: int, stop: int, shape: tuple[int, ...]) -> Tensor:
         a.grad[start:stop] += g.reshape(-1)
 
     return _make(data, (a,), bwd, "segment")
-
-
-def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
-    return segment(a, start, stop, (stop - start,))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}")
-
-    def bwd(g):
-        _acc(a, g.reshape(a.shape))
-
-    return _make(a.data.reshape(shape).copy(), (a,), bwd, "reshape")
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,10 @@ def evaluate_sets(
     if not test_sets:
         raise ValueError("evaluate_sets: empty test set")
     num_classes = model.num_classes
+    if positive_class not in range(num_classes):
+        raise ContractError(
+            f"positive_class {positive_class!r} is not a class of a {num_classes}-class model"
+        )
     for obs in test_sets:  # every label, before any prediction
         if obs.label is None:
             raise ContractError(f"unlabeled observation '{obs.sample_id}' in evaluation")

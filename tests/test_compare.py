@@ -45,6 +45,17 @@ def test_assertion_on_an_unreported_metric_rejected(metric):
         OrderingAssertion.from_dict({"scenario": "tiny", "lhs": "a", "rhs": "b", "metric": metric})
 
 
+def test_assertion_with_an_unknown_key_rejected():
+    with pytest.raises(ValueError, match=r"'tiny': unknown keys \['metrc'\]"):
+        OrderingAssertion.from_dict({"scenario": "tiny", "lhs": "a", "rhs": "b", "metrc": "auc"})
+
+
+@pytest.mark.parametrize("margin", [-0.02, float("nan"), float("inf")])
+def test_assertion_margin_must_be_finite_and_non_negative(margin):
+    with pytest.raises(ValueError, match="margin must be finite and >= 0"):
+        OrderingAssertion(scenario="tiny", lhs="a", rhs="b", margin=margin)
+
+
 def test_run_scenario_model_resolves_the_model_once(monkeypatch):
     calls = []
     original = compare._model_kind

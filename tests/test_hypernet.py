@@ -4,7 +4,7 @@ import pytest
 from setfusion.hypernet import HyperNetwork, ModalityId
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, add, matmul, no_grad, reduce, relu, reshape, row, slice1d
+from setfusion.tensor import Tensor, add, no_grad, reduce, relu
 
 from conftest import central_difference, rel_err
 
@@ -48,7 +48,7 @@ class TestGenerateWeights:
         opt = Adam(h.named_parameters(), lr=1e-2)
 
         w, b = h.generate_weights(0)
-        loss = reduce(reduce(w, 1, "sum"), 0, "sum") + reduce(b, 0, "sum")
+        loss = add(reduce(reduce(w, 1, "sum"), 0, "sum"), reduce(b, 0, "sum"))
         loss.backward()
         assert np.all(h.embedding.grad[1] == 0.0)
         assert np.any(h.embedding.grad[0] != 0.0)
@@ -73,13 +73,28 @@ class TestGenerateWeights:
         assert np.any(w1_after.data != w1_before.data)
 
 
-def old_composition(h, z, m):
-    """The head split as reshape(slice1d) copies and the layer as matmul + add."""
-    flat = h.head(relu(h.trunk(row(h.embedding, m))))
+def numpy_conditional_linear(h, z, m):
+    """W_m z + b_m and the gradients of sum(relu(.)) in numpy, in the engine's
+    order: the bias segment's gradient goes into a zeroed head gradient
+    before the weight segment's, so -0.0 entries come out as the engine's."""
+    e = h.embedding.data[m]
+    wt, bt, wh, bh = (p.data for p in (h.trunk.weight, h.trunk.bias, h.head.weight, h.head.bias))
+    pre = wt @ e + bt
+    hidden = np.maximum(pre, 0.0)
+    flat = wh @ hidden + bh
     split = h.d_l * h.d_z
-    weight = reshape(slice1d(flat, 0, split), (h.d_l, h.d_z))
-    bias = slice1d(flat, split, split + h.d_l)
-    return weight, bias, add(matmul(weight, z), bias)
+    weight, bias = flat[:split].reshape(h.d_l, h.d_z), flat[split:]
+    out = weight @ z + bias
+    g = np.ones(h.d_l) * (out > 0)
+    g_flat = np.zeros_like(flat)
+    g_flat[split:] += g
+    g_flat[:split] += (g[:, None] * z[None, :]).reshape(-1)
+    g_pre = (wh.T @ g_flat) * (pre > 0)
+    g_embedding = np.zeros_like(h.embedding.data)
+    g_embedding[m] = wt.T @ g_pre
+    grads = [g_embedding, g_pre[:, None] * e[None, :], g_pre,
+             g_flat[:, None] * hidden[None, :], g_flat]
+    return [weight, bias, out, weight.T @ g] + grads
 
 
 class TestHeadSplit:
@@ -97,23 +112,14 @@ class TestHeadSplit:
         if owned:
             Adam(params)
         z0 = SeededRng((seed, 9)).normal(5)
-
-        def run(build):
-            z = Tensor(z0, requires_grad=True)
-            weight, bias, out = build(z)
-            reduce(relu(out), 0, "sum").backward()
-            got = [weight.data.tobytes(), bias.data.tobytes(), out.data.tobytes(), z.grad.tobytes()]
-            got += [p.grad.tobytes() for p in params.values()]
-            assert all(np.shares_memory(p.grad, p._grad_buf) == owned for p in params.values())
-            for p in params.values():
-                p.zero_grad()
-            return got
-
-        def new(z):
-            weight, bias = h.generate_weights(1)
-            return weight, bias, h.conditional_linear(z, 1)
-
-        assert run(new) == run(lambda z: old_composition(h, z, 1))
+        z = Tensor(z0, requires_grad=True)
+        weight, bias = h.generate_weights(1)
+        out = h.conditional_linear(z, 1)
+        reduce(relu(out), 0, "sum").backward()
+        assert all(np.shares_memory(p.grad, p._grad_buf) == owned for p in params.values())
+        got = [weight.data, bias.data, out.data, z.grad] + [p.grad for p in params.values()]
+        expected = numpy_conditional_linear(h, z0, 1)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
 class TestConditionalLinear:

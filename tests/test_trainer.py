@@ -358,10 +358,10 @@ class TestJointFrozen:
 
 
 class TestEvaluateSetsLabels:
-    """A set `evaluate_sets` cannot score is rejected before any prediction."""
+    """A set or class `evaluate_sets` cannot score is rejected before any prediction."""
 
     @staticmethod
-    def evaluate(num_classes, bad_label, monkeypatch):
+    def evaluate(num_classes, bad_label, monkeypatch, positive_class=1):
         schema = DatasetSchema(2, ["m0", "m1"], 8, num_classes)
         masked = apply_missingness(generate(schema, n=6, seed=16), rate=0.0)
         sets = [to_set(s, schema) for s in masked]
@@ -373,7 +373,7 @@ class TestEvaluateSetsLabels:
         monkeypatch.setattr(trainer, "predict_proba",
                             lambda *args: predictions.append(args) or predict_proba(*args))
         with pytest.raises(ContractError) as err:
-            trainer.evaluate_sets(model, enc, sets)
+            trainer.evaluate_sets(model, enc, sets, positive_class=positive_class)
         assert predictions == []
         return str(err.value)
 
@@ -387,6 +387,14 @@ class TestEvaluateSetsLabels:
         message = self.evaluate(num_classes, label, monkeypatch)
         assert message == (
             f"label {label} of 's000005' is not a class of a {num_classes}-class model"
+        )
+
+    @pytest.mark.parametrize("num_classes, positive_class", [(2, 5), (2, -1), (3, 3)])
+    def test_positive_class_outside_the_model_rejected(self, num_classes, positive_class,
+                                                       monkeypatch):
+        message = self.evaluate(num_classes, 0, monkeypatch, positive_class=positive_class)
+        assert message == (
+            f"positive_class {positive_class} is not a class of a {num_classes}-class model"
         )
 
 
@@ -411,9 +419,9 @@ class TestPositiveClass:
         with pytest.raises(ValueError, match="positive_class 2 is not a class of a 2-class schema"):
             run_full(cfg, schema, masked)
 
-    @pytest.mark.parametrize("kind", [baselines.BaselineKind.unimodal(0),
-                                      baselines.BaselineKind.zero_fill_multimodal(),
-                                      baselines.BaselineKind.late_fusion_average()])
+    @pytest.mark.parametrize("kind", [baselines.BaselineKind("unimodal", k=0),
+                                      baselines.BaselineKind("zero_fill_multimodal"),
+                                      baselines.BaselineKind("late_fusion_average")])
     def test_run_baseline_rejects_a_class_outside_the_schema(self, no_training, kind):
         schema, masked = tiny_dataset(n=30, seed=14)
         with pytest.raises(ValueError, match="positive_class 2 is not a class"):
