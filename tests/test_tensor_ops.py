@@ -238,6 +238,40 @@ class TestLinear:
             if not x_takes_grad:
                 assert x.grad is None
 
+    def test_identity(self):
+        x = Tensor([1.0, -2.0, 3.0])
+        np.testing.assert_array_equal(linear(Tensor(np.eye(3)), x, Tensor(np.zeros(3))).data, x.data)
+
+    def test_projector(self):
+        p = Tensor([[1.0, 0.0], [0.0, 0.0]])
+        out = linear(p, Tensor([5.0, 7.0]), Tensor([0.5, 0.0]))
+        np.testing.assert_array_equal(out.data, [5.5, 0.0])
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(2,\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match=r"bias shape \(3,\) does not match output 2"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+
+    def test_input_grad_of_sum_is_column_sums(self):
+        # d(sum(W x + b))/dx is W's column sums
+        rng = SeededRng(7)
+        w = Tensor(rng.normal((3, 4)))
+        x = Tensor(rng.normal(4), requires_grad=True)
+        reduce(linear(w, x, Tensor(rng.normal(3))), 0, "sum").backward()
+        np.testing.assert_allclose(x.grad, w.data.sum(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gradient_each_argument(self, seed):
+        rng = SeededRng((seed, "linear_args"))
+        w0, x0, b0, y = rng.normal((3, 4)), rng.normal(4), rng.normal(3), Tensor(rng.normal(3))
+        w, x, b = Tensor(w0), Tensor(x0), Tensor(b0)
+        assert check_gradient(lambda t: mse(linear(t, x, b), y), w0) < 1e-4
+        assert check_gradient(lambda t: mse(linear(w, t, b), y), x0) < 1e-4
+        # an op output as input takes the same path as a leaf that takes gradient
+        assert check_gradient(lambda t: mse(linear(w, scale(t, -1.5), b), y), x0) < 1e-4
+        assert check_gradient(lambda t: mse(linear(w, x, t), y), b0) < 1e-4
+
 
 class TestDenseStack:
     @staticmethod
@@ -279,6 +313,18 @@ class TestDenseStack:
             return got
 
         assert run(dense_stack) == run(chained)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gradient_matches_central_difference(self, seed):
+        rng = SeededRng((seed, "dense_stack_fd"))
+        (w1, b1), (w2, b2) = self.weights([4, 5, 3], rng, False)
+        x0, y = rng.normal(4), Tensor(rng.normal(3))
+        first, second = (Tensor(w1), Tensor(b1)), (Tensor(w2), Tensor(b2))
+        assert check_gradient(lambda t: mse(dense_stack(t, [first, second]), y), x0) < 1e-4
+        assert check_gradient(
+            lambda t: mse(dense_stack(Tensor(x0), [(t, first[1]), second], True), y), w1) < 1e-4
+        assert check_gradient(
+            lambda t: mse(dense_stack(Tensor(x0), [first, (second[0], t)]), y), b2) < 1e-4
 
     def test_one_node_over_an_input_that_takes_gradient(self):
         rng = SeededRng(3)
