@@ -27,7 +27,7 @@ from .metrics import MetricSet, compute_metrics
 from .nn import MLP, Dense, aggregate, parameters
 from .rng import SeededRng
 from .tensor import Tensor, as_tensor, no_grad, softmax, softmax_cross_entropy
-from .trainer import TrainConfig, _train_loop
+from .trainer import TrainConfig, train_loop
 
 _fill_count = 0
 
@@ -84,8 +84,8 @@ class _BaselineNet:
             item, y = pair
             return softmax_cross_entropy(self.logits(item), y)
 
-        _train_loop(self.named_parameters(), item_loss, train_items, val_items, cfg,
-                    cfg.max_epochs_phase2, shuffle_rng, phase_name)
+        train_loop(self.named_parameters(), item_loss, train_items, val_items, cfg,
+                   cfg.max_epochs_phase2, shuffle_rng, phase_name)
         return self
 
 

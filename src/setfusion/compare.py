@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -228,15 +229,8 @@ def scenario_compare(
         for seed in seeds
     ]
     result = ComparisonResult(scenarios=list(scenarios), seeds=sorted(seeds))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, metrics in pool.map(_job, tasks):
-                result.runs[key] = metrics
-                if progress:
-                    progress(key)
-    else:
-        for task in tasks:
-            key, metrics = _job(task)
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
+        for key, metrics in (pool.map if pool else map)(_job, tasks):
             result.runs[key] = metrics
             if progress:
                 progress(key)

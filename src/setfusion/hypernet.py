@@ -12,10 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ShapeError
 from .nn import Dense, parameters
 from .rng import SeededRng, glorot_uniform
 from .tensor import Tensor, dense_stack, linear, row, segment
+
+
+def _as_index(value) -> int:
+    """An int or numpy integer (not a bool) as a plain int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"modality index must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -26,7 +35,7 @@ class ModalityId:
     name: str = ""
 
     def __post_init__(self):
-        if self.index < 0:
+        if _as_index(self.index) < 0:
             raise ValueError(f"modality index must be non-negative, got {self.index}")
 
 
@@ -59,7 +68,7 @@ class HyperNetwork:
     def index(self, m) -> int:
         """The dense index of a ModalityId or a plain integer, checked
         against the embedding table."""
-        idx = m.index if isinstance(m, ModalityId) else int(m)
+        idx = _as_index(m.index if isinstance(m, ModalityId) else m)
         if not 0 <= idx < self.num_modalities:
             raise ValueError(f"modality index {idx} out of range [0, {self.num_modalities})")
         return idx

@@ -7,11 +7,14 @@ order, which equals reverse execution order for a single-threaded
 forward pass, visiting each recorded node exactly once.
 
 Node overhead, not arithmetic, bounds a batch-1 step, so a stack of
-dense layers with relu between them is one node (`dense_stack`): its
-forward and backward replay the per-layer numpy calls of `linear` and
-`relu` in their order, so results are bitwise those of the composition.
+dense layers with relu between them is one node (`dense_stack`), and
+`linear` is its one-layer case. Results are bitwise those of a chain of
+`linear` and `relu` nodes.
 
 Design constraints:
+  - ops take `Tensor`s only; `as_tensor` makes leaves at the boundary.
+  - `requires_grad` marks every tensor that takes gradient: a leaf that
+    asked for it, and every node `_make` records.
   - float64 everywhere; forward ops raise `NumericError` on NaN/Inf
     outputs instead of propagating them silently.
   - no broadcasting at all: the operands of an elementwise op (`add`,
@@ -127,7 +130,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str | None) ->
     out.name = None
     out._seq = next(_seq_counter)
     out._grad_buf = None
-    if _grad_enabled and any(p.requires_grad or p._bwd is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._bwd = bwd
@@ -145,7 +148,7 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
     leaf's `_grad_buf`), so later contributions add into it in place,
     which is bitwise equal to `t.grad + g`.
     """
-    if t.requires_grad or t._bwd is not None:
+    if t.requires_grad:
         if t.grad is not None:
             np.add(t.grad, g, out=t.grad)
         elif t._grad_buf is not None:
@@ -164,7 +167,6 @@ def as_tensor(x) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
 
@@ -176,7 +178,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = as_tensor(a)
     c = float(c)
 
     def bwd(g):
@@ -186,7 +187,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     mask = a.data > 0  # derivative at exactly 0 is 0
 
     def bwd(g):
@@ -200,41 +200,22 @@ def relu(a: Tensor) -> Tensor:
 
 
 def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    """Fused dense layer W x + b for 1d x, as one graph node."""
-    w, x, b = as_tensor(w), as_tensor(x), as_tensor(b)
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ShapeError(f"linear: shapes {w.shape} @ {x.shape} are not aligned")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"linear: bias shape {b.shape} does not match output {w.shape[0]}")
-
-    def bwd(g):
-        if w.requires_grad or w._bwd is not None:
-            if w.grad is None and w._grad_buf is not None:
-                # g ⊗ x straight into the optimizer's buffer, no temporary
-                w.grad = np.multiply(g[:, None], x.data[None, :], out=w._grad_buf)
-            else:
-                _acc(w, g[:, None] * x.data[None, :])
-        if x.requires_grad or x._bwd is not None:  # not for payloads and cached latents
-            _acc(x, w.data.T @ g)
-        _acc(b, g)
-
-    return _make(w.data @ x.data + b.data, (w, x, b), bwd, "linear")
+    """Dense layer W x + b for 1d x: the one-layer `dense_stack`."""
+    return dense_stack(x, [(w, b)])
 
 
 def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
     """Dense layers (W, b) applied in turn to 1d x with relu between
     them, and after the last one with `final_relu`; one graph node.
 
-    Bitwise equal to chaining `linear` and `relu`: each layer's
-    pre-activation is probed for non-finite values (a -inf the relu
-    would clamp still raises), and backward replays `linear`'s
-    per-layer gradient calls from the last layer to the first.
+    Bitwise equal to a chain of one-layer stacks and `relu` nodes: each
+    layer's pre-activation is probed (a -inf the relu would clamp still
+    raises), and backward runs the layers from the last to the first.
     """
     if not layers:
         raise ValueError("dense_stack: no layers")
-    x = as_tensor(x)
     last = len(layers) - 1
-    need = x.requires_grad or x._bwd is not None  # this layer's input takes gradient
+    need = x.requires_grad  # this layer's input takes gradient
     # per layer: its input, its pre-activation (None: no relu after it), need
     steps = []
     h = x.data
@@ -248,8 +229,7 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
         relu_after = i < last or final_relu
         steps.append((h, y if relu_after else None, need))
         h = np.maximum(y, 0.0) if relu_after else y
-        need = (need or w.requires_grad or w._bwd is not None
-                or b.requires_grad or b._bwd is not None)
+        need = need or w.requires_grad or b.requires_grad
     if not (_grad_enabled and need):
         return _make(h, (), None, None)  # nothing to record
 
@@ -259,18 +239,17 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
             x_in, pre, need_in = steps[i]
             if pre is not None:
                 g = g * (pre > 0)  # relu derivative at exactly 0 is 0
-            if w.requires_grad or w._bwd is not None:
+            if w.requires_grad:
                 if w.grad is None and w._grad_buf is not None:
+                    # g ⊗ x straight into the optimizer's buffer, no temporary
                     w.grad = np.multiply(g[:, None], x_in[None, :], out=w._grad_buf)
                 else:
                     _acc(w, g[:, None] * x_in[None, :])
-            g_in = w.data.T @ g if need_in else None
-            if i == 0 and g_in is not None:
-                _acc(x, g_in)
             _acc(b, g)
-            if g_in is None:
+            if not need_in:
                 return
-            g = g_in
+            g = w.data.T @ g
+        _acc(x, g)
 
     return _make(h, (x, *(t for pair in layers for t in pair)), bwd, None)
 
@@ -283,7 +262,7 @@ def stack(tensors: list[Tensor] | tuple[Tensor, ...]) -> Tensor:
     """Stack equal-length 1d tensors into a (k, n) matrix."""
     if not tensors:
         raise ValueError("stack: empty tensor list")
-    ts = [as_tensor(t) for t in tensors]
+    ts = list(tensors)
     width = ts[0].shape
     if any(t.data.ndim != 1 or t.shape != width for t in ts):
         raise ShapeError(f"stack: expected equal 1d shapes, got {[t.shape for t in ts]}")
@@ -297,7 +276,6 @@ def stack(tensors: list[Tensor] | tuple[Tensor, ...]) -> Tensor:
 
 def row(a: Tensor, index: int) -> Tensor:
     """Select row `index` of a 2d tensor (differentiable embedding lookup)."""
-    a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"row: expected 2d tensor, got shape {a.shape}")
     if not 0 <= index < a.shape[0]:
@@ -318,7 +296,6 @@ def segment(a: Tensor, start: int, stop: int, shape: tuple[int, ...]) -> Tensor:
     whose values no code writes in place; from any other tensor (a leaf,
     say a parameter the optimizer updates in place) it copies.
     """
-    a = as_tensor(a)
     if a.data.ndim != 1:
         raise ShapeError(f"segment: expected 1d tensor, got shape {a.shape}")
     if not 0 <= start <= stop <= a.shape[0]:
@@ -344,7 +321,6 @@ def segment(a: Tensor, start: int, stop: int, shape: tuple[int, ...]) -> Tensor:
 
 def reduce(x: Tensor, axis: int, kind: str) -> Tensor:
     """Reduce along `axis` with sum, mean or max."""
-    x = as_tensor(x)
     if kind not in ("sum", "mean", "max"):
         raise ValueError(f"reduce: unknown kind {kind!r}")
     if not 0 <= axis < x.data.ndim:
@@ -390,7 +366,6 @@ def mean_of_scalars(losses: list[Tensor]) -> Tensor:
 
 def softmax_cross_entropy(logits: Tensor, target_class: int) -> Tensor:
     """Stable cross-entropy of a 1d logit vector against an integer class."""
-    logits = as_tensor(logits)
     if logits.data.ndim != 1:
         raise ShapeError(f"softmax_cross_entropy: expected 1d logits, got {logits.shape}")
     c = logits.shape[0]
@@ -420,7 +395,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared difference; zero iff a == b."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mse: shapes {a.shape} and {b.shape} do not match")
     diff = a.data - b.data

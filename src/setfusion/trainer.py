@@ -186,7 +186,18 @@ def collect_phase1_items(
     return items
 
 
-def _train_loop(
+def _require_labels(phase_name: str, train_sets: list[SetObservation],
+                    val_sets: list[SetObservation]) -> None:
+    """Reject an unlabeled set before any step, naming the sample and its stream."""
+    for stream, sets in (("training", train_sets), ("validation", val_sets)):
+        for obs in sets:
+            if obs.label is None:
+                raise ContractError(
+                    f"{phase_name}: unlabeled observation '{obs.sample_id}' in the {stream} stream"
+                )
+
+
+def train_loop(
     named_params: dict[str, Tensor],
     item_loss,
     train_items: list,
@@ -252,7 +263,7 @@ def train_phase1(
     def as_tensors(items):  # once per call, not once per item per epoch
         return [(Tensor(x), m, y) for x, m, y in items]
 
-    return _train_loop(
+    return train_loop(
         enc.named_parameters(), item_loss, as_tensors(train_items), as_tensors(val_items), cfg,
         cfg.max_epochs_phase1, SeededRng((cfg.seed, "shuffle_phase1")), "phase1",
     )
@@ -273,21 +284,17 @@ def train_phase2(
     """
     if not enc.frozen:
         raise ContractError("phase 2 requires a frozen encoder; call enc.freeze() first")
+    _require_labels("phase2", train_sets, val_sets)
 
     def encode(sets):
-        items = []
         with no_grad():
-            for obs in sets:
-                if obs.label is None:
-                    raise ContractError(f"unlabeled observation '{obs.sample_id}' in phase 2")
-                items.append((pool_set(enc, obs, model.aggregator), obs.label))
-        return items
+            return [(pool_set(enc, obs, model.aggregator), obs.label) for obs in sets]
 
     def item_loss(item):
         latent, y = item
         return softmax_cross_entropy(model.rho(latent), y)
 
-    return _train_loop(
+    return train_loop(
         model.named_parameters(), item_loss, encode(train_sets), encode(val_sets), cfg,
         cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_phase2")), "phase2",
     )
@@ -307,12 +314,13 @@ def train_joint(
     """
     if enc.frozen:
         raise ContractError("joint training needs a trainable encoder")
+    _require_labels("joint", train_sets, val_sets)
     params = parameters(enc.backbone, enc.hypernet, model)
 
     def item_loss(obs):
         return phase2_loss(model, enc, [(obs, obs.label)])
 
-    return _train_loop(
+    return train_loop(
         params, item_loss, train_sets, val_sets, cfg,
         cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_joint")), "joint",
     )

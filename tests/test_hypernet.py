@@ -34,6 +34,21 @@ class TestGenerateWeights:
         with pytest.raises(ValueError):
             ModalityId(-1)
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True, None], ids=repr)
+    def test_non_integer_index_rejected(self, bad):
+        h = make_hyper()
+        with pytest.raises(ValueError, match="modality index must be an integer"):
+            h.index(bad)
+        with pytest.raises(ValueError, match="modality index must be an integer"):
+            ModalityId(bad)
+
+    @pytest.mark.parametrize("good", [1, np.int64(1), np.int32(1), np.uint8(1)], ids=repr)
+    def test_python_and_numpy_integers_accepted(self, good):
+        h = make_hyper()
+        assert h.index(good) == h.index(ModalityId(good)) == 1
+        w, _ = h.generate_weights(ModalityId(good))
+        assert w.data.tobytes() == h.generate_weights(1)[0].data.tobytes()
+
     @pytest.mark.parametrize("seed", range(20))
     def test_distinct_modalities_emit_distinct_weights(self, seed):
         h = make_hyper(seed=seed)

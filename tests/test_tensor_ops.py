@@ -238,6 +238,17 @@ class TestLinear:
             if not x_takes_grad:
                 assert x.grad is None
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_forward_and_input_gradient_match_numpy_bitwise(self, seed):
+        rng = SeededRng((seed, "linear_numpy"))
+        w0, x0, b0, y0 = rng.normal((3, 4)), rng.normal(4), rng.normal(3), rng.normal(3)
+        x = Tensor(x0, requires_grad=True)
+        out = linear(Tensor(w0), x, Tensor(b0))
+        assert out.data.tobytes() == (w0 @ x0 + b0).tobytes()
+        mse(out, Tensor(y0)).backward()  # feeds g = (2 / 3)(out - y) into linear
+        g = (2.0 / 3) * (w0 @ x0 + b0 - y0)
+        assert x.grad.tobytes() == (w0.T @ g).tobytes()
+
     def test_identity(self):
         x = Tensor([1.0, -2.0, 3.0])
         np.testing.assert_array_equal(linear(Tensor(np.eye(3)), x, Tensor(np.zeros(3))).data, x.data)

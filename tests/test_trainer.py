@@ -14,9 +14,10 @@ from setfusion.tensor import Tensor, softmax_cross_entropy
 from setfusion.trainer import (
     EarlyStopper,
     TrainConfig,
-    _train_loop,
     collect_phase1_items,
     run_full,
+    train_joint,
+    train_loop,
     train_phase1,
     train_phase2,
 )
@@ -85,7 +86,7 @@ class TestTrainLoop:
 
         train, val = ([], [0]) if empty == "training" else ([0, 1], [])
         with pytest.raises(ValueError, match=f"empty {empty} stream"):
-            _train_loop({"w": w}, item_loss, train, val, small_cfg(), 3, SeededRng(0), "probe")
+            train_loop({"w": w}, item_loss, train, val, small_cfg(), 3, SeededRng(0), "probe")
         assert calls == []
 
 
@@ -210,7 +211,7 @@ def _reference_phase2(model, enc, train_sets, val_sets, cfg):
     def item_loss(obs):
         return phase2_loss(model, enc, [(obs, obs.label)])
 
-    return _train_loop(
+    return train_loop(
         model.named_parameters(), item_loss, train_sets, val_sets, cfg,
         cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_phase2")), "phase2",
     )
@@ -285,6 +286,31 @@ class TestCachedPhase2:
         with pytest.raises(ContractError, match="nolabel"):
             train_phase2(model, enc, train_sets, val_sets, cfg)
         assert steps == []
+
+
+class TestJointLabels:
+    @pytest.mark.parametrize("stream", ["training", "validation"])
+    def test_unlabeled_set_rejected_before_any_step(self, stream):
+        schema, masked = tiny_dataset(n=30, seed=15)
+        cfg = small_cfg(seed=15, max_epochs_phase2=2)
+        enc = Encoder(cfg.encoder_config(schema), SeededRng(15))
+        model = SetClassifier(cfg.d_l, 2, SeededRng(16), hidden=cfg.rho_hidden)
+        sets = [to_set(s, schema) for s in masked]
+        train_sets, val_sets = sets[:20], sets[20:]
+        unlabeled = SetObservation(sets[0].elements, label=None, sample_id="nolabel")
+        if stream == "training":
+            train_sets = train_sets + [unlabeled]
+        else:
+            val_sets = val_sets + [unlabeled]
+
+        def checksum():
+            return parameter_checksum({**enc.named_parameters(), **model.named_parameters()})
+
+        before = checksum()
+        with pytest.raises(ContractError) as err:
+            train_joint(model, enc, train_sets, val_sets, cfg)
+        assert str(err.value) == f"joint: unlabeled observation 'nolabel' in the {stream} stream"
+        assert checksum() == before
 
 
 class TestRunFull:
@@ -409,8 +435,8 @@ class TestPositiveClass:
         def refuse(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(trainer, "_train_loop", refuse)
-        monkeypatch.setattr(baselines, "_train_loop", refuse)
+        monkeypatch.setattr(trainer, "train_loop", refuse)
+        monkeypatch.setattr(baselines, "train_loop", refuse)
 
     @pytest.mark.parametrize("two_steps", [True, False])
     def test_run_full_rejects_a_class_outside_the_schema(self, no_training, two_steps):
