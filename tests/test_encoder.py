@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from setfusion.encoder import Encoder, EncoderConfig, parameter_checksum, phase1_loss
-from setfusion.errors import ShapeError
+from setfusion.errors import NumericError, ShapeError
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
 from setfusion.tensor import Tensor, mse, no_grad, softmax_cross_entropy
@@ -235,10 +235,29 @@ class TestPoolInstances:
             shuffled = [bag[i] for i in order]
             assert enc.pool_instances(shuffled, 2).data.tobytes() == reference
 
-    def test_empty_bag_rejected(self):
-        enc = make_encoder()
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_empty_bag_rejected(self, frozen):
+        enc = make_encoder().freeze() if frozen else make_encoder()
         with pytest.raises(ValueError):
             enc.pool_instances([], 0)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("bad", [np.ones(7), np.ones(5), np.ones((2, 6)), np.float64(1.0)])
+    def test_mixed_widths_rejected_naming_the_bad_instance(self, frozen, bad):
+        enc = make_encoder().freeze() if frozen else make_encoder()
+        bag = [np.ones(6), bad, np.ones(6)]
+        with pytest.raises(ShapeError) as err:
+            enc.pool_instances(bag, 0)
+        assert str(err.value) == f"encoder expects payload width 6, got shape {np.shape(bad)}"
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_instance_rejected(self, frozen, value):
+        enc = make_encoder().freeze() if frozen else make_encoder()
+        bad = np.ones(6)
+        bad[3] = value
+        with pytest.raises(NumericError):
+            enc.pool_instances([np.ones(6), bad], 1)
 
 
 class TestFreezeContract:
