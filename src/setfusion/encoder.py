@@ -25,6 +25,7 @@ from .tensor import (
     dense_stack,
     mse,
     no_grad,
+    reduce,
     scale,
     softmax_cross_entropy,
 )
@@ -78,23 +79,28 @@ class Encoder:
         self.decoder = MLP([cfg.d_l, cfg.decoder_hidden, cfg.d_z], rng, "encoder/decoder")
         self.uniclassifier = Dense(cfg.d_l, cfg.num_classes, rng, "encoder/uniclassifier")
 
-    def _check_input(self, x: Tensor) -> Tensor:
+    def _width_error(self, shape) -> ShapeError:
+        return ShapeError(f"encoder expects payload width {self.cfg.input_width}, got shape {shape}")
+
+    def _check_input(self, x, ndims=(1,)) -> Tensor:
         x = as_tensor(x)
-        if x.data.ndim != 1 or x.shape[0] != self.cfg.input_width:
-            raise ShapeError(
-                f"encoder expects payload width {self.cfg.input_width}, got shape {x.shape}"
-            )
+        if x.data.ndim not in ndims or x.shape[-1] != self.cfg.input_width:
+            raise self._width_error(x.shape)
         return x
 
     def phi_forward(self, x, m) -> Tensor:
         """Latent features e for one payload conditioned on its modality.
 
-        Frozen, this is one `dense_stack` node: the backbone layers and
-        the modality's conditional layer that `freeze` generated.
+        Frozen, this is one `dense_stack` call: the backbone layers and
+        the modality's conditional layer that `freeze` generated. A
+        frozen encoder also takes a (k, r) stack of k payloads of one
+        modality and returns their (k, d_l) latents, row i bitwise the
+        latent of payload i alone.
         """
-        x = self._check_input(x)
         if self.frozen:
+            x = self._check_input(x, (1, 2))
             return dense_stack(x, self._frozen_stacks[self.hypernet.index(m)])
+        x = self._check_input(x)
         return self.hypernet.conditional_linear(self.backbone(x), m)
 
     def phase1_forward(self, x, m) -> Phase1Output:
@@ -104,8 +110,21 @@ class Encoder:
         return Phase1Output(z=z, e=e, z_rec=self.decoder(e), y_pred=self.uniclassifier(e))
 
     def pool_instances(self, xs, m) -> Tensor:
-        """Elementwise max over the latent features of a bag of payloads."""
-        return aggregate([self.phi_forward(x, m) for x in xs], "max")
+        """Elementwise max over the latent features of a bag of payloads.
+
+        Frozen, the bag is one (k, r) stack and one `phi_forward` call,
+        bitwise equal to k separate calls. Unfrozen, each payload is its
+        own φ pass, so the gradient into the hypernetwork sums in the
+        same order as for single payloads.
+        """
+        if not self.frozen:
+            return aggregate([self.phi_forward(x, m) for x in xs], "max")
+        if not xs:
+            raise ValueError("pool_instances: empty bag")
+        for x in xs:
+            if np.shape(x) != (self.cfg.input_width,):
+                raise self._width_error(np.shape(x))
+        return reduce(self.phi_forward(np.stack(xs), m), 0, "max")
 
     def freeze(self) -> "Encoder":
         """Make every parameter a constant and generate each modality's

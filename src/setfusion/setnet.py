@@ -38,6 +38,10 @@ class SetObservation:
     def __post_init__(self):
         if not self.elements:
             raise ValueError(f"set observation '{self.sample_id}' has no elements")
+        for payload, modality in self.elements:
+            if isinstance(payload, (list, tuple)) and not payload:
+                raise ValueError(f"set observation '{self.sample_id}' has an empty bag "
+                                 f"for modality {getattr(modality, 'index', modality)}")
 
     @property
     def q(self) -> int:

@@ -9,7 +9,10 @@ forward pass, visiting each recorded node exactly once.
 Node overhead, not arithmetic, bounds a batch-1 step, so a stack of
 dense layers with relu between them is one node (`dense_stack`), and
 `linear` is its one-layer case. Results are bitwise those of a chain of
-`linear` and `relu` nodes.
+`linear` and `relu` nodes. Its input is 1d, or, in a call that
+records nothing, a (k, n) stack of k inputs, so a frozen network
+encodes a whole bag in one pass; each row of the output is bitwise the
+output for that row alone.
 
 Design constraints:
   - ops take `Tensor`s only; `as_tensor` makes leaves at the boundary.
@@ -205,8 +208,13 @@ def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
 
 
 def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
-    """Dense layers (W, b) applied in turn to 1d x with relu between
-    them, and after the last one with `final_relu`; one graph node.
+    """Dense layers (W, b) applied in turn to x with relu between them,
+    and after the last one with `final_relu`; one graph node.
+
+    x is 1d, or a (k, n) stack of k inputs when the call records
+    nothing (under `no_grad`, or when neither x nor any layer takes
+    gradient); a stack that would be recorded raises `ContractError`.
+    Row i of a stack's output is bitwise the output for row i alone.
 
     Bitwise equal to a chain of one-layer stacks and `relu` nodes: each
     layer's pre-activation is probed (a -inf the relu would clamp still
@@ -214,6 +222,8 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
     """
     if not layers:
         raise ValueError("dense_stack: no layers")
+    if x.data.ndim == 2:
+        return _dense_rows(x, layers, final_relu)
     last = len(layers) - 1
     need = x.requires_grad  # this layer's input takes gradient
     # per layer: its input, its pre-activation (None: no relu after it), need
@@ -252,6 +262,25 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
         _acc(x, g)
 
     return _make(h, (x, *(t for pair in layers for t in pair)), bwd, None)
+
+
+def _dense_rows(x: Tensor, layers, final_relu: bool) -> Tensor:
+    """`dense_stack` over the rows of a (k, n) stack, recording nothing."""
+    if _grad_enabled and (x.requires_grad or any(t.requires_grad for pair in layers for t in pair)):
+        raise ContractError("dense_stack: a (k, n) stack takes gradient; only 1d inputs are recorded")
+    last = len(layers) - 1
+    h = x.data
+    for i, (w, b) in enumerate(layers):
+        if w.data.ndim != 2 or w.shape[1] != h.shape[1]:
+            raise ShapeError(f"linear: shapes {w.shape} @ {h.shape} are not aligned")
+        if b.shape != (w.shape[0],):
+            raise ShapeError(f"linear: bias shape {b.shape} does not match output {w.shape[0]}")
+        # a stack of matrix-vector products, each bitwise the 1d `w @ h`;
+        # a matrix-matrix product (h @ w.T) sums in another order
+        y = (w.data @ h[:, :, None])[:, :, 0] + b.data
+        _check_finite(y, "linear")
+        h = np.maximum(y, 0.0) if i < last or final_relu else y
+    return _make(h, (), None, None)
 
 
 # ---------------------------------------------------------------------------

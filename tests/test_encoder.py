@@ -3,9 +3,11 @@ import pytest
 
 from setfusion.encoder import Encoder, EncoderConfig, parameter_checksum, phase1_loss
 from setfusion.errors import NumericError, ShapeError
+from setfusion.hypernet import ModalityId
+from setfusion.nn import aggregate
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, mse, no_grad, softmax_cross_entropy
+from setfusion.tensor import Tensor, dense_stack, mse, no_grad, softmax_cross_entropy
 
 from conftest import central_difference, rel_err
 
@@ -258,6 +260,56 @@ class TestPoolInstances:
         bad[3] = value
         with pytest.raises(NumericError):
             enc.pool_instances([np.ones(6), bad], 1)
+
+
+class TestFrozenBagStack:
+    """A frozen encoder encodes a bag as one (k, r) stack."""
+
+    @staticmethod
+    def per_instance(enc, xs, m):
+        """The pooled latent as k separate φ passes compute it."""
+        return aggregate([enc.phi_forward(x, m) for x in xs], "max").data.tobytes()
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
+    def test_bitwise_equal_to_one_pass_per_instance(self, integer):
+        enc = make_encoder(seed=21)
+        rng = SeededRng((21, integer))
+        if integer:  # integer weights and payloads put many pre-activations at exactly 0
+            for p in enc.named_parameters().values():
+                p.data[:] = np.round(p.data * 2.0)
+
+        def payload():
+            return rng.integers(-2, 3, 6).astype(np.float64) if integer else rng.normal(6)
+
+        bags = [(m, [payload() for _ in range(k)]) for m in range(3) for k in range(1, 9)]
+        live = [self.per_instance(enc, xs, m) for m, xs in bags]
+        enc.freeze()
+        for (m, xs), expected in zip(bags, live):
+            assert self.per_instance(enc, xs, m) == expected
+            assert enc.pool_instances(xs, m).data.tobytes() == expected
+            assert enc.pool_instances(xs, ModalityId(m)).data.tobytes() == expected
+
+    def test_one_dense_stack_call_per_bag(self, monkeypatch):
+        from setfusion import encoder
+
+        enc = make_encoder(seed=22).freeze()
+        calls = []
+
+        def counting_dense_stack(x, layers, final_relu=False):
+            calls.append(x.shape)
+            return dense_stack(x, layers, final_relu)
+
+        monkeypatch.setattr(encoder, "dense_stack", counting_dense_stack)
+        rng = SeededRng(22)
+        enc.pool_instances([rng.normal(6) for _ in range(5)], 2)
+        assert calls == [(5, 6)]
+
+    def test_unfrozen_phi_forward_rejects_a_stack(self):
+        enc = make_encoder(seed=23)
+        stack_ = np.ones((2, 6))
+        with pytest.raises(ShapeError, match=r"payload width 6, got shape \(2, 6\)"):
+            enc.phi_forward(stack_, 0)
+        assert enc.freeze().phi_forward(stack_, 0).shape == (2, 4)
 
 
 class TestFreezeContract:

@@ -15,7 +15,7 @@ from setfusion.setnet import (
     predict_proba,
 )
 from setfusion.nn import Dense
-from setfusion.tensor import Tensor, relu
+from setfusion.tensor import Tensor, relu, softmax
 
 
 def make_models(seed=0, d=3, r=6, d_l=4, num_classes=2, aggregator="mean"):
@@ -107,6 +107,12 @@ class TestSetObservation:
         with pytest.raises(ValueError):
             SetObservation(elements=[], label=0, sample_id="x")
 
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_bag_rejected_naming_sample_and_modality(self, empty):
+        elements = [(np.ones(6), ModalityId(0)), (empty, ModalityId(2, "wsi"))]
+        with pytest.raises(ValueError, match="'p7' has an empty bag for modality 2"):
+            SetObservation(elements=elements, label=0, sample_id="p7")
+
     def test_duplicate_modalities_allowed(self):
         rng = SeededRng(2)
         obs = SetObservation(
@@ -163,6 +169,22 @@ class TestFForward:
         obs = SetObservation(elements=[(np.ones(6), ModalityId(2))], label=0, sample_id="bad")
         with pytest.raises(ValueError):
             f_forward(model, enc, obs)
+
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max"])
+    def test_frozen_predict_proba_bitwise_equal_to_one_pass_per_instance(self, aggregator):
+        enc, model = make_models(seed=8, aggregator=aggregator)
+        enc.freeze()
+        rng = SeededRng((8, aggregator))
+
+        def reference(obs):
+            feats = [aggregate([enc.phi_forward(x, m) for x in payload], "max")
+                     if isinstance(payload, list) else enc.phi_forward(payload, m)
+                     for payload, m in obs.elements]
+            return softmax(model.rho(aggregate(feats, aggregator)).data).tobytes()
+
+        for case in range(40):
+            obs = random_obs(rng, bag_prob=0.7, max_bag=8)
+            assert predict_proba(model, enc, obs).tobytes() == reference(obs)
 
     def test_predict_proba_sums_to_one(self):
         enc, model = make_models()

@@ -389,6 +389,61 @@ class TestDenseStack:
             dense_stack(Tensor(np.zeros(4)), [])
 
 
+class TestDenseStackRows:
+    """A (k, n) stack through `dense_stack` in a call that records nothing."""
+
+    # every dense chain the package builds, at the default and the test widths
+    CHAINS = [[8, 64, 32, 16], [16, 64, 32, 16], [32, 64, 32, 16], [16, 32, 16, 2],
+              [16, 32, 32], [8, 32, 528], [6, 8, 5, 4], [6, 8, 5], [5, 7, 6, 4, 3]]
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
+    @pytest.mark.parametrize("final_relu", [False, True])
+    @pytest.mark.parametrize("widths", CHAINS, ids=lambda w: "x".join(map(str, w)))
+    def test_each_row_bitwise_equal_to_its_1d_call(self, widths, final_relu, integer):
+        rng = SeededRng((tuple(widths), final_relu, integer))
+        layers = [(Tensor(w), Tensor(b)) for w, b in TestDenseStack.weights(widths, rng, integer)]
+        for k in range(1, 9):
+            rows = [TestDenseStack.weights([1, widths[0]], rng, integer)[0][1] for _ in range(k)]
+            rows[0] = np.zeros(widths[0])  # every pre-activation on a relu kink
+            out = dense_stack(Tensor(np.stack(rows)), layers, final_relu)
+            assert out.shape == (k, widths[-1]) and out._bwd is None
+            for i, x in enumerate(rows):
+                assert out.data[i].tobytes() == dense_stack(Tensor(x), layers, final_relu).data.tobytes()
+
+    @pytest.mark.parametrize("grad_on", ["x", "weight", "bias"])
+    def test_a_stack_that_would_record_is_rejected(self, grad_on):
+        rng = SeededRng(5)
+        (w, b), = TestDenseStack.weights([4, 3], rng, False)
+        x = Tensor(rng.normal((2, 4)), requires_grad=grad_on == "x")
+        layer = (Tensor(w, requires_grad=grad_on == "weight"),
+                 Tensor(b, requires_grad=grad_on == "bias"))
+        with pytest.raises(ContractError, match="stack takes gradient"):
+            dense_stack(x, [layer])
+        with no_grad():
+            out = dense_stack(x, [layer])
+        assert out._bwd is None and not out.requires_grad
+        assert out.data[1].tobytes() == linear(layer[0], Tensor(x.data[1]), layer[1]).data.tobytes()
+
+    def test_shape_errors_name_the_stack(self):
+        w, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(3))
+        good = (Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+        for layers, x, message in [
+            ([(w, b)], np.zeros((2, 5)), "linear: shapes (3, 4) @ (2, 5) are not aligned"),
+            ([good, (w, b)], np.zeros((2, 3)), "linear: shapes (3, 4) @ (2, 2) are not aligned"),
+            ([(w, Tensor(np.zeros(2)))], np.zeros((2, 4)),
+             "linear: bias shape (2,) does not match output 3"),
+        ]:
+            with pytest.raises(ShapeError) as err:
+                dense_stack(Tensor(x), layers)
+            assert str(err.value) == message
+
+    def test_non_finite_pre_activation_in_one_row_raises(self):
+        layers = [(Tensor([[1.0], [1.0]]), Tensor([0.0, 0.0])), (Tensor([[-10.0, -10.0]]), Tensor([0.0]))]
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="linear produced non-finite"):
+                dense_stack(Tensor([[1.0], [1e308]]), layers, final_relu=True)
+
+
 class TestBackwardContract:
     def test_sum_of_weights_gives_ones(self):
         w = Tensor(np.arange(4.0), requires_grad=True)

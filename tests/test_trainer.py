@@ -254,8 +254,9 @@ class TestCachedPhase2:
         calls = Counter()
         phi_forward = enc.phi_forward
 
-        def counting_phi_forward(x, m):
-            calls[(getattr(m, "index", m), np.asarray(x).tobytes())] += 1
+        def counting_phi_forward(x, m):  # a frozen bag is one call with a (k, r) stack
+            for payload in np.atleast_2d(x):
+                calls[(getattr(m, "index", m), payload.tobytes())] += 1
             return phi_forward(x, m)
 
         enc.phi_forward = counting_phi_forward
