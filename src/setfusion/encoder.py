@@ -112,12 +112,13 @@ class Encoder:
     def pool_instances(self, xs, m) -> Tensor:
         """Elementwise max over the latent features of a bag of payloads.
 
-        Frozen, the bag is one (k, r) stack and one `phi_forward` call,
-        bitwise equal to k separate calls. Unfrozen, each payload is its
-        own φ pass, so the gradient into the hypernetwork sums in the
-        same order as for single payloads.
+        Frozen, a bag of arrays is one (k, r) stack and one `phi_forward`
+        call, bitwise equal to k separate calls. Unfrozen, each payload
+        is its own φ pass, so the gradient into the hypernetwork sums in
+        the same order as for single payloads; so is each `Tensor`
+        payload, which may take gradient.
         """
-        if not self.frozen:
+        if not self.frozen or any(isinstance(x, Tensor) for x in xs):
             return aggregate([self.phi_forward(x, m) for x in xs], "max")
         if not xs:
             raise ValueError("pool_instances: empty bag")

@@ -7,7 +7,7 @@ from setfusion.hypernet import ModalityId
 from setfusion.nn import aggregate
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, dense_stack, mse, no_grad, softmax_cross_entropy
+from setfusion.tensor import Tensor, dense_stack, mse, no_grad, reduce, softmax_cross_entropy
 
 from conftest import central_difference, rel_err
 
@@ -288,6 +288,16 @@ class TestFrozenBagStack:
             assert self.per_instance(enc, xs, m) == expected
             assert enc.pool_instances(xs, m).data.tobytes() == expected
             assert enc.pool_instances(xs, ModalityId(m)).data.tobytes() == expected
+
+    def test_tensor_payloads_keep_their_gradient(self):
+        enc = make_encoder(seed=24).freeze()
+        rng = SeededRng(24)
+        xs = [Tensor(rng.normal(6), requires_grad=True) for _ in range(3)]
+        arrays = [x.data.copy() for x in xs]
+        pooled = enc.pool_instances(xs, 1)
+        assert pooled.data.tobytes() == enc.pool_instances(arrays, 1).data.tobytes()
+        reduce(pooled, 0, "sum").backward()
+        assert any(np.any(x.grad != 0.0) for x in xs)
 
     def test_one_dense_stack_call_per_bag(self, monkeypatch):
         from setfusion import encoder
