@@ -11,8 +11,9 @@ dense layers with relu between them is one node (`dense_stack`), and
 `linear` is its one-layer case. Results are bitwise those of a chain of
 `linear` and `relu` nodes. Its input is 1d, or, in a call that
 records nothing, a (k, n) stack of k inputs, so a frozen network
-encodes a whole bag in one pass; each row of the output is bitwise the
-output for that row alone.
+encodes a whole bag in one pass. One loop over the layers serves both
+forms and differs only in how it writes the matrix-vector product, so
+each row of a stack's output is bitwise the output for that row alone.
 
 Design constraints:
   - ops take `Tensor`s only; `as_tensor` makes leaves at the boundary.
@@ -214,7 +215,9 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
     x is 1d, or a (k, n) stack of k inputs when the call records
     nothing (under `no_grad`, or when neither x nor any layer takes
     gradient); a stack that would be recorded raises `ContractError`.
-    Row i of a stack's output is bitwise the output for row i alone.
+    Both forms run the same loop over the layers, which differs only in
+    how it writes the product, so row i of a stack's output is bitwise
+    the output for row i alone.
 
     Bitwise equal to a chain of one-layer stacks and `relu` nodes: each
     layer's pre-activation is probed (a -inf the relu would clamp still
@@ -222,19 +225,22 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
     """
     if not layers:
         raise ValueError("dense_stack: no layers")
-    if x.data.ndim == 2:
-        return _dense_rows(x, layers, final_relu)
+    rows = x.data.ndim == 2
+    if not rows and x.data.ndim != 1:
+        raise ShapeError(f"dense_stack: expected a 1d input or a (k, n) stack, got shape {x.shape}")
     last = len(layers) - 1
     need = x.requires_grad  # this layer's input takes gradient
     # per layer: its input, its pre-activation (None: no relu after it), need
     steps = []
     h = x.data
     for i, (w, b) in enumerate(layers):
-        if w.data.ndim != 2 or h.ndim != 1 or w.shape[1] != h.shape[0]:
+        if w.data.ndim != 2 or w.shape[1] != h.shape[-1]:
             raise ShapeError(f"linear: shapes {w.shape} @ {h.shape} are not aligned")
         if b.shape != (w.shape[0],):
             raise ShapeError(f"linear: bias shape {b.shape} does not match output {w.shape[0]}")
-        y = w.data @ h + b.data
+        # a stack of matrix-vector products, each bitwise the 1d `w @ h`;
+        # a matrix-matrix product (h @ w.T) sums in another order
+        y = ((w.data @ h[:, :, None])[:, :, 0] if rows else w.data @ h) + b.data
         _check_finite(y, "linear")
         relu_after = i < last or final_relu
         steps.append((h, y if relu_after else None, need))
@@ -242,6 +248,8 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
         need = need or w.requires_grad or b.requires_grad
     if not (_grad_enabled and need):
         return _make(h, (), None, None)  # nothing to record
+    if rows:
+        raise ContractError("dense_stack: a (k, n) stack takes gradient; only 1d inputs are recorded")
 
     def bwd(g):
         for i in range(last, -1, -1):
@@ -262,25 +270,6 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
         _acc(x, g)
 
     return _make(h, (x, *(t for pair in layers for t in pair)), bwd, None)
-
-
-def _dense_rows(x: Tensor, layers, final_relu: bool) -> Tensor:
-    """`dense_stack` over the rows of a (k, n) stack, recording nothing."""
-    if _grad_enabled and (x.requires_grad or any(t.requires_grad for pair in layers for t in pair)):
-        raise ContractError("dense_stack: a (k, n) stack takes gradient; only 1d inputs are recorded")
-    last = len(layers) - 1
-    h = x.data
-    for i, (w, b) in enumerate(layers):
-        if w.data.ndim != 2 or w.shape[1] != h.shape[1]:
-            raise ShapeError(f"linear: shapes {w.shape} @ {h.shape} are not aligned")
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"linear: bias shape {b.shape} does not match output {w.shape[0]}")
-        # a stack of matrix-vector products, each bitwise the 1d `w @ h`;
-        # a matrix-matrix product (h @ w.T) sums in another order
-        y = (w.data @ h[:, :, None])[:, :, 0] + b.data
-        _check_finite(y, "linear")
-        h = np.maximum(y, 0.0) if i < last or final_relu else y
-    return _make(h, (), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +356,10 @@ def reduce(x: Tensor, axis: int, kind: str) -> Tensor:
             _acc(x, np.broadcast_to(np.expand_dims(g, axis) / n, x.shape))
     else:
         out = x.data.max(axis=axis)
-        argmax = np.argmax(x.data, axis=axis)  # first index on ties
 
         def bwd(g):
+            # only backward reads the argmax (first index on ties)
+            argmax = np.argmax(x.data, axis=axis)
             full = np.zeros_like(x.data)
             np.put_along_axis(
                 full, np.expand_dims(argmax, axis), np.expand_dims(g, axis), axis

@@ -1,5 +1,6 @@
 import ast
 import math
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,16 @@ class TestDenseStackRows:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="linear produced non-finite"):
                 dense_stack(Tensor([[1.0], [1e308]]), layers, final_relu=True)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 4)], ids=["0d", "3d"])
+@pytest.mark.parametrize("recording", [True, False], ids=["recording", "no_grad"])
+def test_dense_stack_rejects_inputs_neither_1d_nor_2d(shape, recording):
+    layer = (Tensor(np.ones((3, 4))), Tensor(np.zeros(3)))
+    x = Tensor(np.ones(shape), requires_grad=recording)
+    with nullcontext() if recording else no_grad(), pytest.raises(ShapeError) as err:
+        dense_stack(x, [layer])
+    assert str(err.value) == f"dense_stack: expected a 1d input or a (k, n) stack, got shape {shape}"
 
 
 class TestBackwardContract:
