@@ -19,6 +19,7 @@ import numpy as np
 
 from .baselines import BaselineKind, run_baseline
 from .data import DatasetSchema, apply_missingness, generate, split
+from .errors import ConfigError
 from .metrics import METRIC_NAMES, MetricSet
 from .trainer import TrainConfig, run_full
 
@@ -58,15 +59,53 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
+        """A scenario from its JSON object; every key is type-checked."""
+        name = d.get("name", "?")
+        unknown = set(d) - set(_SCENARIO_TYPES)
         if unknown:
-            raise ValueError(f"scenario {d.get('name', '?')!r}: unknown keys {sorted(unknown)}")
+            raise ConfigError(f"scenario {name!r}: unknown keys {sorted(unknown)}")
+        if "name" not in d:
+            raise ConfigError("scenario without a 'name' key")
+        for key, value in d.items():
+            fits, expected = _SCENARIO_TYPES[key]
+            if not fits(value):
+                raise ConfigError(f"scenario {name!r}: {key} must be {expected}, got {value!r}")
         out = cls(**d)
         out.models = tuple(out.models)
         out.bag_modalities = tuple(out.bag_modalities)
         out.bag_size_range = tuple(out.bag_size_range)
         return out
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list_of(v, fits) -> bool:
+    return isinstance(v, (list, tuple)) and all(fits(item) for item in v)
+
+
+# Scenario field -> (type check of its JSON value, what the check expects)
+_SCENARIO_TYPES = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "n": (_is_int, "an integer"),
+    "num_modalities": (_is_int, "an integer"),
+    "payload_width": (_is_int, "an integer"),
+    "num_classes": (_is_int, "an integer"),
+    "class_sep": (_is_number, "a number"),
+    "noise_sigma": (lambda v: _is_number(v) or _list_of(v, _is_number),
+                    "a number or a list of numbers"),
+    "missing_rate": (_is_number, "a number"),
+    "mechanism": (lambda v: isinstance(v, str), "a string"),
+    "k": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "bag_modalities": (lambda v: _list_of(v, _is_int), "a list of integers"),
+    "bag_size_range": (lambda v: _list_of(v, _is_int) and len(v) == 2, "a list of two integers"),
+    "models": (lambda v: _list_of(v, lambda m: isinstance(m, str)), "a list of model names"),
+}
 
 
 @dataclass
@@ -162,21 +201,30 @@ class ComparisonResult:
         return AssertionResult(assertion, lhs_mean, rhs_mean, verdict)
 
 
+_BASELINE_KINDS = {
+    "zero_fill": "zero_fill_multimodal",
+    "mean_impute": "mean_impute_multimodal",
+    "late_fusion": "late_fusion_average",
+}
+
+
 def _model_kind(model: str, scenario: Scenario) -> BaselineKind | None:
     if model in ("setfusion", "setfusion_joint"):
         return None
     if model.startswith("unimodal_"):
         k = int(model.split("_", 1)[1])
         if not 0 <= k < scenario.num_modalities:
-            raise ValueError(f"{model}: modality index out of range for {scenario.name}")
-        return BaselineKind("unimodal", k=k)
-    if model == "zero_fill":
-        return BaselineKind("zero_fill_multimodal")
-    if model == "mean_impute":
-        return BaselineKind("mean_impute_multimodal")
-    if model == "late_fusion":
-        return BaselineKind("late_fusion_average")
-    raise ValueError(f"unknown model {model!r}; expected one of {KNOWN_MODELS} or unimodal_<k>")
+            raise ConfigError(f"{model}: modality index out of range for {scenario.name}")
+        kind = BaselineKind("unimodal", k=k)
+    elif model in _BASELINE_KINDS:
+        kind = BaselineKind(_BASELINE_KINDS[model])
+    else:
+        raise ConfigError(f"scenario {scenario.name!r}: unknown model {model!r}; "
+                          f"expected one of {KNOWN_MODELS} or unimodal_<k>")
+    if scenario.num_classes != 2:  # run_baseline's own check, made before any run
+        raise ConfigError(f"scenario {scenario.name!r}: baseline {model!r} needs a two-class "
+                          f"schema, got num_classes {scenario.num_classes}")
+    return kind
 
 
 def run_scenario_model(scenario: Scenario, model: str, seed: int, base_cfg: TrainConfig) -> MetricSet:

@@ -1,12 +1,19 @@
+import csv
+import dataclasses
+
 import pytest
 
 from setfusion import compare
 from setfusion.compare import (
+    ComparisonResult,
     OrderingAssertion,
     Scenario,
     run_scenario_model,
     scenario_compare,
+    write_table,
 )
+from setfusion.errors import ConfigError
+from setfusion.metrics import METRIC_NAMES, MetricSet
 from setfusion.trainer import TrainConfig
 
 TINY = TrainConfig(lr=1e-2, max_epochs_phase1=1, max_epochs_phase2=1, patience=1,
@@ -80,3 +87,57 @@ def test_unknown_model_rejected_before_data_is_generated(monkeypatch, run):
     monkeypatch.setattr(compare, "generate", no_data)
     with pytest.raises(ValueError, match="unknown model 'nope'"):
         run()
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("n", "600", "an integer"),
+    ("models", "setfusion", "a list of model names"),
+    ("bag_size_range", 5, "a list of two integers"),
+    ("missing_rate", "0.5", "a number"),
+])
+def test_scenario_from_dict_checks_each_key_type(key, value, expected):
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict({"name": "typed", key: value})
+    assert str(err.value) == f"scenario 'typed': {key} must be {expected}, got {value!r}"
+
+
+def test_scenario_from_dict_checks_every_field():
+    assert set(compare._SCENARIO_TYPES) == {f.name for f in dataclasses.fields(Scenario)}
+    d = {"name": "bags", "n": 40, "noise_sigma": [0.5, 1], "k": None, "bag_modalities": [1],
+         "bag_size_range": [1, 3], "models": ["setfusion", "unimodal_0"]}
+    assert Scenario.from_dict(d) == Scenario(
+        name="bags", n=40, noise_sigma=[0.5, 1], bag_modalities=(1,), bag_size_range=(1, 3),
+        models=("setfusion", "unimodal_0"))
+    with pytest.raises(ConfigError, match=r"'bags': unknown keys \['seeds'\]"):
+        Scenario.from_dict({**d, "seeds": [0]})
+
+
+def test_baseline_in_a_three_class_scenario_rejected_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("setfusion trained before the baseline was checked")
+
+    monkeypatch.setattr(compare, "run_full", no_run)
+    scenario = tiny_scenario(num_classes=3, models=("setfusion", "zero_fill"))
+    with pytest.raises(ConfigError, match="'zero_fill' needs a two-class schema"):
+        scenario_compare([scenario], [0], TINY)
+
+
+def test_write_table_writes_header_and_rows_with_repr_floats(tmp_path):
+    scenario = tiny_scenario(models=("unimodal_0", "zero_fill"))
+    result = ComparisonResult(scenarios=[scenario], seeds=[0, 1])
+    for i, model in enumerate(scenario.models):
+        for seed in (0, 1):
+            value = 0.1 * (1 + i) + 0.3 * seed
+            result.runs[("tiny", model, seed)] = MetricSet(value, value, value, value, value,
+                                                           n_eval=10, positive_class=1)
+    path = tmp_path / "table.csv"
+    write_table(path, result)
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == ["scenario", "model", "metric", "mean", "std", "seeds"]
+    rows = result.table_rows()
+    assert len(rows) == 2 * len(METRIC_NAMES)
+    assert lines[1:] == [[sc, model, metric, repr(mean), repr(std), seeds]
+                         for sc, model, metric, mean, std, seeds in rows]
+    # the std of 0.1 and 0.4 keeps every digit, not a rounded form
+    assert lines[1][3:] == ["0.25", "0.15000000000000002", "0;1"]
