@@ -9,7 +9,6 @@ binary container with a magic tag and format version.
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 from dataclasses import dataclass
@@ -335,22 +334,3 @@ def load_dataset(path) -> tuple[DatasetSchema, list[MaskedSample]]:
     rd.finish()
     return schema, samples
 
-
-def export_text(path, schema: DatasetSchema, samples: list[MaskedSample]) -> None:
-    """One row per (sample, modality, instance) for eyeballing small sets."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sample_id", "label", "modality", "missing", "instance"]
-            + [f"x{j}" for j in range(schema.payload_width)]
-        )
-        for s in samples:
-            for i, slot in enumerate(s.slots):
-                if s.mask[i]:
-                    writer.writerow([s.sample_id, s.label, i, 1, 0] + [""] * schema.payload_width)
-                    continue
-                instances = slot if schema.is_bag(i) else [slot]
-                for j, inst in enumerate(instances):
-                    writer.writerow(
-                        [s.sample_id, s.label, i, 0, j] + [repr(v) for v in inst.tolist()]
-                    )

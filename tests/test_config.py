@@ -1,6 +1,12 @@
 import pytest
 
-from setfusion.config import default_config, default_config_text, dump_config, parse_config
+from setfusion.config import (
+    default_config,
+    default_config_text,
+    dump_config,
+    load_config,
+    parse_config,
+)
 from setfusion.errors import ConfigError
 
 
@@ -22,6 +28,14 @@ def with_value(section: str, key: str, value: str) -> str:
 def test_default_config_round_trips():
     cfg = default_config()
     assert parse_config(dump_config(cfg)) == cfg
+
+
+def test_load_config_equals_parse_config_of_the_file_text(tmp_path):
+    text = with_value("run", "seed", "7")
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert load_config(path) == parse_config(text)
+    assert load_config(path).seed == 7
 
 
 @pytest.mark.parametrize("widths", ["32,16,8", "32", "32,0"])

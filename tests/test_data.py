@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from setfusion.data import (
     DatasetSchema,
     apply_missingness,
-    export_text,
     generate,
     load_dataset,
     missing_fraction,
@@ -401,15 +400,3 @@ class TestContainer:
         path.write_bytes(b"SFDS" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0))
         with pytest.raises(DataFormatError, match="num_classes"):
             load_dataset(path)
-
-    def test_text_export_row_count(self, tmp_path):
-        s = schema2(bags=(1,))
-        masked = apply_missingness(generate(s, n=6, seed=24), 0.3, "mcar", seed=25)
-        out = tmp_path / "dump.csv"
-        export_text(out, s, masked)
-        lines = out.read_text().strip().splitlines()
-        expected_rows = sum(
-            1 if m.mask[i] else (len(m.slots[i]) if s.is_bag(i) else 1)
-            for m in masked for i in range(2)
-        )
-        assert len(lines) == expected_rows + 1  # header
