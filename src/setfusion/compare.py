@@ -23,13 +23,13 @@ from .errors import ConfigError
 from .metrics import METRIC_NAMES, MetricSet
 from .trainer import TrainConfig, run_full
 
-KNOWN_MODELS = (
-    "setfusion",
-    "setfusion_joint",
-    "zero_fill",
-    "mean_impute",
-    "late_fusion",
-)  # plus "unimodal_<k>"
+# baseline model name -> its BaselineKind name
+_BASELINE_KINDS = {
+    "zero_fill": "zero_fill_multimodal",
+    "mean_impute": "mean_impute_multimodal",
+    "late_fusion": "late_fusion_average",
+}
+KNOWN_MODELS = ("setfusion", "setfusion_joint", *_BASELINE_KINDS)  # plus "unimodal_<k>"
 
 
 @dataclass
@@ -70,41 +70,30 @@ class Scenario:
             fits, expected = _SCENARIO_TYPES[key]
             if not fits(value):
                 raise ConfigError(f"scenario {name!r}: {key} must be {expected}, got {value!r}")
-        out = cls(**d)
-        out.models = tuple(out.models)
-        out.bag_modalities = tuple(out.bag_modalities)
-        out.bag_size_range = tuple(out.bag_size_range)
-        return out
+        lists = {key: tuple(d[key]) for key in ("models", "bag_modalities", "bag_size_range") if key in d}
+        return cls(**{**d, **lists})
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)  # JSON true is no number
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _list_of(fits, v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(fits, v))
 
 
-def _list_of(v, fits) -> bool:
-    return isinstance(v, (list, tuple)) and all(fits(item) for item in v)
-
-
-# Scenario field -> (type check of its JSON value, what the check expects)
+_INT = (lambda v: _number(v) and isinstance(v, int), "an integer")
+_NUMBER = (_number, "a number")
+_STR = (lambda v: isinstance(v, str), "a string")
+# Scenario field -> (check of its JSON value, what the check expects)
 _SCENARIO_TYPES = {
-    "name": (lambda v: isinstance(v, str), "a string"),
-    "n": (_is_int, "an integer"),
-    "num_modalities": (_is_int, "an integer"),
-    "payload_width": (_is_int, "an integer"),
-    "num_classes": (_is_int, "an integer"),
-    "class_sep": (_is_number, "a number"),
-    "noise_sigma": (lambda v: _is_number(v) or _list_of(v, _is_number),
-                    "a number or a list of numbers"),
-    "missing_rate": (_is_number, "a number"),
-    "mechanism": (lambda v: isinstance(v, str), "a string"),
-    "k": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "bag_modalities": (lambda v: _list_of(v, _is_int), "a list of integers"),
-    "bag_size_range": (lambda v: _list_of(v, _is_int) and len(v) == 2, "a list of two integers"),
-    "models": (lambda v: _list_of(v, lambda m: isinstance(m, str)), "a list of model names"),
+    "name": _STR, "n": _INT, "num_modalities": _INT, "payload_width": _INT, "num_classes": _INT,
+    "class_sep": _NUMBER, "missing_rate": _NUMBER, "mechanism": _STR,
+    "noise_sigma": (lambda v: _number(v) or _list_of(_number, v), "a number or a list of numbers"),
+    "k": (lambda v: v is None or _INT[0](v), "an integer or null"),
+    "bag_modalities": (lambda v: _list_of(_INT[0], v), "a list of integers"),
+    "bag_size_range": (lambda v: _list_of(_INT[0], v) and len(v) == 2, "a list of two integers"),
+    "models": (lambda v: _list_of(_STR[0], v), "a list of model names"),
 }
 
 
@@ -199,13 +188,6 @@ class ComparisonResult:
         else:
             verdict = "TIE"
         return AssertionResult(assertion, lhs_mean, rhs_mean, verdict)
-
-
-_BASELINE_KINDS = {
-    "zero_fill": "zero_fill_multimodal",
-    "mean_impute": "mean_impute_multimodal",
-    "late_fusion": "late_fusion_average",
-}
 
 
 def _model_kind(model: str, scenario: Scenario) -> BaselineKind | None:

@@ -215,9 +215,8 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
     x is 1d, or a (k, n) stack of k inputs when the call records
     nothing (under `no_grad`, or when neither x nor any layer takes
     gradient); a stack that would be recorded raises `ContractError`.
-    Both forms run the same loop over the layers, which differs only in
-    how it writes the product, so row i of a stack's output is bitwise
-    the output for row i alone.
+    One loop over the layers serves both forms; row i of a stack's
+    output is bitwise the output for row i alone.
 
     Bitwise equal to a chain of one-layer stacks and `relu` nodes: each
     layer's pre-activation is probed (a -inf the relu would clamp still
@@ -358,8 +357,7 @@ def reduce(x: Tensor, axis: int, kind: str) -> Tensor:
         out = x.data.max(axis=axis)
 
         def bwd(g):
-            # only backward reads the argmax (first index on ties)
-            argmax = np.argmax(x.data, axis=axis)
+            argmax = np.argmax(x.data, axis=axis)  # first index on ties
             full = np.zeros_like(x.data)
             np.put_along_axis(
                 full, np.expand_dims(argmax, axis), np.expand_dims(g, axis), axis

@@ -110,6 +110,8 @@ def test_scenario_from_dict_checks_every_field():
         models=("setfusion", "unimodal_0"))
     with pytest.raises(ConfigError, match=r"'bags': unknown keys \['seeds'\]"):
         Scenario.from_dict({**d, "seeds": [0]})
+    with pytest.raises(ConfigError, match="without a 'name' key"):
+        Scenario.from_dict({"n": 40})
 
 
 def test_baseline_in_a_three_class_scenario_rejected_before_any_run(monkeypatch):
