@@ -36,13 +36,11 @@ from .tensor import (
     add,
     backward,
     dense_stack,
-    mean_of_scalars,
     mse,
     no_grad,
     reduce,
     relu,
     row,
-    scale,
     segment,
     softmax,
     softmax_cross_entropy,

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import BaselineKind, run_baseline
-from .data import DatasetSchema, apply_missingness, generate, split
+from .data import (
+    DatasetSchema,
+    apply_missingness,
+    check_generate_args,
+    check_missingness_args,
+    generate,
+    split,
+)
 from .errors import ConfigError
 from .metrics import METRIC_NAMES, MetricSet
 from .trainer import TrainConfig, run_full
@@ -56,6 +63,17 @@ class Scenario:
             num_classes=self.num_classes,
             bag_modalities=self.bag_modalities,
         )
+
+    def check(self) -> None:
+        """Reject, naming this scenario, any value that would fail one of its runs."""
+        try:
+            check_generate_args(self.schema(), self.n, self.class_sep, self.noise_sigma,
+                                self.bag_size_range)
+            check_missingness_args(self.missing_rate, self.mechanism, self.k, self.num_modalities)
+        except ValueError as exc:
+            raise ConfigError(f"scenario {self.name!r}: {exc}") from exc
+        for model in self.models:
+            _model_kind(model, self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -194,9 +212,14 @@ def _model_kind(model: str, scenario: Scenario) -> BaselineKind | None:
     if model in ("setfusion", "setfusion_joint"):
         return None
     if model.startswith("unimodal_"):
-        k = int(model.split("_", 1)[1])
-        if not 0 <= k < scenario.num_modalities:
-            raise ConfigError(f"{model}: modality index out of range for {scenario.name}")
+        index = model.split("_", 1)[1]
+        if not index.isdecimal():
+            raise ConfigError(f"scenario {scenario.name!r}: model {model!r} does not end "
+                              f"in a modality index")
+        k = int(index)
+        if not k < scenario.num_modalities:
+            raise ConfigError(f"scenario {scenario.name!r}: model {model!r} names modality {k} "
+                              f"of a {scenario.num_modalities}-modality scenario")
         kind = BaselineKind("unimodal", k=k)
     elif model in _BASELINE_KINDS:
         kind = BaselineKind(_BASELINE_KINDS[model])
@@ -248,9 +271,8 @@ def scenario_compare(
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate scenario names: {names}")
-    for sc in scenarios:  # an unknown model fails here, not after the runs before it
-        for model in sc.models:
-            _model_kind(model, sc)
+    for sc in scenarios:  # a bad value fails here, not after the runs before it
+        sc.check()
     base_cfg = base_cfg or TrainConfig()
     tasks = [
         (scenario, model, seed, base_cfg)

@@ -3,6 +3,10 @@
 Parsing is strict both ways: every expected key must be present and no
 unknown keys are tolerated, so a config file is always a complete,
 diffable record of a run.
+
+The training recipe itself has no keys: every Adam step takes one item,
+and the stage-1 loss adds an unweighted reconstruction term, whose
+target z is always detached, to the classification term.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ _LAYOUT: dict[str, dict[str, tuple[str, object]]] = {
     },
     "phase1": {
         "max_epochs": ("max_epochs_phase1", int),
-        "mse_weight": ("mse_weight", float),
-        "detach_recon_target": ("detach_recon_target", _parse_bool),
     },
     "phase2": {
         "max_epochs": ("max_epochs_phase2", int),
@@ -56,7 +58,6 @@ _LAYOUT: dict[str, dict[str, tuple[str, object]]] = {
         "seed": ("seed", int),
         "lr": ("lr", float),
         "patience": ("patience", int),
-        "batch_size": ("batch_size", int),
         "two_steps": ("two_steps", _parse_bool),
         "beta1": ("beta1", float),
         "beta2": ("beta2", float),

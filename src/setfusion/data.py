@@ -106,12 +106,25 @@ class MaskedSample:
         return int(len(self.mask) - self.mask.sum())
 
 
-def _noise_sigmas(noise_sigma, d: int) -> list[float]:
+def check_generate_args(schema: DatasetSchema, n: int, class_sep, noise_sigma,
+                        bag_size_range) -> list[float]:
+    """Reject bad `generate` arguments; returns one noise sigma per modality."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (np.isfinite(class_sep) and class_sep > 0):
+        raise ValueError(f"class_sep must be finite and positive, got {class_sep}")
+    d = schema.num_modalities
     if isinstance(noise_sigma, (int, float)):
-        return [float(noise_sigma)] * d
-    sigmas = [float(s) for s in noise_sigma]
-    if len(sigmas) != d:
-        raise ValueError(f"{len(sigmas)} noise sigmas for {d} modalities")
+        sigmas = [float(noise_sigma)] * d
+    else:
+        sigmas = [float(s) for s in noise_sigma]
+        if len(sigmas) != d:
+            raise ValueError(f"{len(sigmas)} noise sigmas for {d} modalities")
+    if not all(np.isfinite(s) and s >= 0 for s in sigmas):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {sigmas}")
+    lo, hi = bag_size_range
+    if not 1 <= lo <= hi:
+        raise ValueError(f"invalid bag size range {bag_size_range}")
     return sigmas
 
 
@@ -124,16 +137,8 @@ def generate(
     bag_size_range: tuple[int, int] = (2, 5),
 ) -> list[MultimodalSample]:
     """Class-balanced samples around per-(class, modality) centroids."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (np.isfinite(class_sep) and class_sep > 0):
-        raise ValueError(f"class_sep must be finite and positive, got {class_sep}")
-    sigmas = _noise_sigmas(noise_sigma, schema.num_modalities)
-    if not all(np.isfinite(s) and s >= 0 for s in sigmas):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {sigmas}")
+    sigmas = check_generate_args(schema, n, class_sep, noise_sigma, bag_size_range)
     lo, hi = bag_size_range
-    if not 1 <= lo <= hi:
-        raise ValueError(f"invalid bag size range {bag_size_range}")
 
     root = SeededRng(seed)
     crng = root.child("centroids")
@@ -160,6 +165,20 @@ def generate(
     return samples
 
 
+def check_missingness_args(rate: float, mechanism: str, k: int | None,
+                           num_modalities: int) -> None:
+    """Reject bad `apply_missingness` arguments for samples of `num_modalities` modalities."""
+    if not 0 <= rate < 1:
+        raise ValueError(f"missing rate must be in [0, 1), got {rate}")
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
+    if mechanism == "modality_k_only":
+        if k is None:
+            raise ValueError("mechanism 'modality_k_only' requires k")
+        if not 0 <= k < num_modalities:
+            raise ValueError(f"k={k} out of range for {num_modalities} modalities")
+
+
 def apply_missingness(
     samples: list[MultimodalSample],
     rate: float,
@@ -168,16 +187,7 @@ def apply_missingness(
     k: int | None = None,
 ) -> list[MaskedSample]:
     """Mask modalities per sample; fully-missing draws are redrawn."""
-    if not 0 <= rate < 1:
-        raise ValueError(f"missing rate must be in [0, 1), got {rate}")
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
-    if mechanism == "modality_k_only":
-        if k is None:
-            raise ValueError("mechanism 'modality_k_only' requires k")
-        d = len(samples[0].payloads) if samples else 0
-        if not 0 <= k < d:
-            raise ValueError(f"k={k} out of range for {d} modalities")
+    check_missingness_args(rate, mechanism, k, len(samples[0].payloads) if samples else 0)
 
     root = SeededRng(seed)
     masked = []

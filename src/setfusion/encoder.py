@@ -26,7 +26,6 @@ from .tensor import (
     mse,
     no_grad,
     reduce,
-    scale,
     softmax_cross_entropy,
 )
 
@@ -143,24 +142,14 @@ class Encoder:
         return parameters(self.backbone, self.hypernet, self.decoder, self.uniclassifier)
 
 
-def phase1_loss(
-    out: Phase1Output,
-    y: int,
-    mse_weight: float = 1.0,
-    detach_target: bool = True,
-) -> Tensor:
-    """Reconstruction + unimodal classification loss for stage 1.
+def phase1_loss(out: Phase1Output, y: int) -> Tensor:
+    """Reconstruction + unimodal classification loss for stage 1, unweighted.
 
-    By default z enters the reconstruction term as a detached constant,
-    so the gradient shapes the decoder output rather than dragging the
+    z always enters the reconstruction term as a detached constant, so
+    the gradient shapes the decoder output rather than dragging the
     backbone toward its own reconstruction.
     """
-    target = out.z.detach() if detach_target else out.z
-    rec = mse(target, out.z_rec)
-    ce = softmax_cross_entropy(out.y_pred, y)
-    if mse_weight == 1.0:
-        return add(rec, ce)
-    return add(scale(rec, mse_weight), ce)
+    return add(mse(out.z.detach(), out.z_rec), softmax_cross_entropy(out.y_pred, y))
 
 
 def parameter_checksum(named_params: dict[str, Tensor]) -> str:

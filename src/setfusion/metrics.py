@@ -8,7 +8,7 @@ cleared rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,19 +34,7 @@ class MetricSet:
                 raise ValueError(f"{field}={v} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "n_eval": self.n_eval,
-            "positive_class": self.positive_class,
-            "auc_defined": self.auc_defined,
-            "precision_defined": self.precision_defined,
-            "recall_defined": self.recall_defined,
-            "f1_defined": self.f1_defined,
-        }
+        return asdict(self)
 
     def value(self, metric: str) -> float:
         return float(getattr(self, metric))

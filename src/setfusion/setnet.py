@@ -18,7 +18,7 @@ from .errors import ContractError
 from .hypernet import ModalityId
 from .nn import AGGREGATOR_KINDS, MLP, aggregate
 from .rng import SeededRng
-from .tensor import Tensor, mean_of_scalars, no_grad, softmax, softmax_cross_entropy
+from .tensor import Tensor, no_grad, softmax, softmax_cross_entropy
 
 
 @dataclass
@@ -95,17 +95,8 @@ def predict_proba(model: SetClassifier, enc: Encoder, obs: SetObservation) -> np
     return softmax(logits.data)
 
 
-def phase2_loss(
-    model: SetClassifier,
-    enc: Encoder,
-    batch: list[tuple[SetObservation, int | None]],
-) -> Tensor:
-    """Mean cross-entropy over a batch of labeled set observations."""
-    if not batch:
-        raise ValueError("phase2_loss: empty batch")
-    losses = []
-    for obs, y in batch:
-        if y is None:
-            raise ContractError(f"unlabeled observation '{obs.sample_id}' in training batch")
-        losses.append(softmax_cross_entropy(f_forward(model, enc, obs), y))
-    return mean_of_scalars(losses)
+def phase2_loss(model: SetClassifier, enc: Encoder, obs: SetObservation) -> Tensor:
+    """Cross-entropy of one labeled set observation against its `label`."""
+    if obs.label is None:
+        raise ContractError(f"unlabeled observation '{obs.sample_id}' in training")
+    return softmax_cross_entropy(f_forward(model, enc, obs), obs.label)

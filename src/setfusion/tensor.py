@@ -181,15 +181,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), bwd, "add")
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bwd(g):
-        _acc(a, g * c)
-
-    return _make(a.data * c, (a,), bwd, "scale")
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # derivative at exactly 0 is 0
 
@@ -365,20 +356,6 @@ def reduce(x: Tensor, axis: int, kind: str) -> Tensor:
             _acc(x, full)
 
     return _make(np.asarray(out), (x,), bwd, f"reduce_{kind}")
-
-
-def mean_of_scalars(losses: list[Tensor]) -> Tensor:
-    """Mean of 0d loss tensors as a single differentiable scalar."""
-    if len(losses) == 1:
-        return losses[0]
-
-    def bwd(g):
-        share = g / len(losses)
-        for t in losses:
-            _acc(t, share)
-
-    data = np.asarray(np.mean([t.data for t in losses]))
-    return _make(data, tuple(losses), bwd, "mean_of_scalars")
 
 
 def softmax_cross_entropy(logits: Tensor, target_class: int) -> Tensor:

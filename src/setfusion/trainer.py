@@ -16,7 +16,7 @@ generated once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .nn import AGGREGATOR_KINDS, parameters
 from .optim import Adam
 from .rng import SeededRng
 from .setnet import SetClassifier, SetObservation, phase2_loss, pool_set, predict_proba
-from .tensor import Tensor, mean_of_scalars, no_grad, softmax_cross_entropy
+from .tensor import Tensor, no_grad, softmax_cross_entropy
 
 
 @dataclass
@@ -37,11 +37,8 @@ class TrainConfig:
     max_epochs_phase1: int = 100
     max_epochs_phase2: int = 100
     patience: int = 10
-    batch_size: int = 1
     aggregator: str = "mean"
     seed: int = 0
-    mse_weight: float = 1.0
-    detach_recon_target: bool = True
     two_steps: bool = True
     beta1: float = 0.9
     beta2: float = 0.999
@@ -63,8 +60,6 @@ class TrainConfig:
         for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0 <= value < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if not (np.isfinite(self.mse_weight) and self.mse_weight >= 0):
-            raise ValueError(f"mse_weight must be finite and >= 0, got {self.mse_weight}")
         check_split_ratios(self.split_ratios)
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
@@ -73,8 +68,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("max_epochs_phase1", "max_epochs_phase2", "d_z", "d_l", "backbone_hidden",
                      "decoder_hidden", "embed_dim", "hyper_hidden"):
             if getattr(self, name) < 1:
@@ -113,12 +106,7 @@ class PhaseReport:
     stopped_epoch: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "best_epoch": self.best_epoch,
-            "stopped_epoch": self.stopped_epoch,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -207,7 +195,7 @@ def train_loop(
     shuffle_rng: SeededRng,
     phase_name: str,
 ) -> PhaseReport:
-    """Shared epoch loop: shuffle, batched Adam steps, early stop, restore."""
+    """Shared epoch loop: shuffle, one Adam step per item, early stop, restore."""
     if not train_items:
         raise ValueError(f"{phase_name}: empty training stream")
     if not val_items:
@@ -220,9 +208,8 @@ def train_loop(
     for epoch in range(1, max_epochs + 1):
         order = shuffle_rng.permutation(len(train_items))
         epoch_losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_items[i] for i in order[start : start + cfg.batch_size]]
-            loss = mean_of_scalars([item_loss(item) for item in batch])
+        for i in order:
+            loss = item_loss(train_items[i])
             loss.backward()
             opt.step()
             epoch_losses.append(loss.item())
@@ -255,10 +242,7 @@ def train_phase1(
 
     def item_loss(item):
         x, m, y = item
-        return phase1_loss(
-            enc.phase1_forward(x, m), y,
-            mse_weight=cfg.mse_weight, detach_target=cfg.detach_recon_target,
-        )
+        return phase1_loss(enc.phase1_forward(x, m), y)
 
     def as_tensors(items):  # once per call, not once per item per epoch
         return [(Tensor(x), m, y) for x, m, y in items]
@@ -318,7 +302,7 @@ def train_joint(
     params = parameters(enc.backbone, enc.hypernet, model)
 
     def item_loss(obs):
-        return phase2_loss(model, enc, [(obs, obs.label)])
+        return phase2_loss(model, enc, obs)
 
     return train_loop(
         params, item_loss, train_sets, val_sets, cfg,

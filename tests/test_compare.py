@@ -124,6 +124,37 @@ def test_baseline_in_a_three_class_scenario_rejected_before_any_run(monkeypatch)
         scenario_compare([scenario], [0], TINY)
 
 
+@pytest.mark.parametrize("model, expected", [
+    ("unimodal_x", "model 'unimodal_x' does not end in a modality index"),
+    ("unimodal_-1", "model 'unimodal_-1' does not end in a modality index"),
+    ("unimodal_2", "model 'unimodal_2' names modality 2 of a 2-modality scenario"),
+])
+def test_unimodal_model_needs_a_modality_index_of_the_scenario(model, expected):
+    with pytest.raises(ConfigError) as err:
+        scenario_compare([tiny_scenario(name="uni", models=(model,))], [0], TINY)
+    assert str(err.value) == f"scenario 'uni': {expected}"
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    ({"missing_rate": 2.0}, "missing rate must be in [0, 1), got 2.0"),
+    ({"mechanism": "mnar"}, "unknown mechanism 'mnar'"),
+    ({"mechanism": "modality_k_only"}, "mechanism 'modality_k_only' requires k"),
+    ({"mechanism": "modality_k_only", "k": 2}, "k=2 out of range for 2 modalities"),
+    ({"bag_size_range": (5, 2)}, "invalid bag size range (5, 2)"),
+    ({"n": 0}, "n must be >= 1, got 0"),
+    ({"class_sep": 0.0}, "class_sep must be finite and positive"),
+    ({"noise_sigma": [0.5]}, "1 noise sigmas for 2 modalities"),
+    ({"num_classes": 1, "models": ("setfusion",)}, "num_classes must be >= 2, got 1"),
+], ids=["rate", "mechanism", "no_k", "k", "bags", "n", "class_sep", "sigmas", "classes"])
+def test_bad_scenario_value_rejected_before_the_first_run(overrides, expected):
+    calls = []
+    scenarios = [tiny_scenario(name="good"), tiny_scenario(name="bad", **overrides)]
+    with pytest.raises(ConfigError) as err:
+        scenario_compare(scenarios, [0], TINY, progress=calls.append)
+    assert str(err.value).startswith(f"scenario 'bad': {expected}")
+    assert calls == []
+
+
 def test_write_table_writes_header_and_rows_with_repr_floats(tmp_path):
     scenario = tiny_scenario(models=("unimodal_0", "zero_fill"))
     result = ComparisonResult(scenarios=[scenario], seeds=[0, 1])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from setfusion.config import (
@@ -8,6 +10,7 @@ from setfusion.config import (
     parse_config,
 )
 from setfusion.errors import ConfigError
+from setfusion.trainer import TrainConfig
 
 
 def with_value(section: str, key: str, value: str) -> str:
@@ -61,9 +64,7 @@ def test_zero_model_width_rejected(key):
     ("run", "lr", "nan"), ("run", "lr", "inf"), ("run", "lr", "0"),
     ("run", "epsilon", "-1"), ("run", "epsilon", "nan"), ("run", "epsilon", "inf"),
     ("run", "beta1", "1.5"), ("run", "beta1", "-0.1"), ("run", "beta2", "1.0"),
-    ("run", "beta2", "nan"),
-    ("phase1", "mse_weight", "nan"), ("phase1", "mse_weight", "inf"),
-    ("phase1", "mse_weight", "-1"), ("model", "aggregator", "median"),
+    ("run", "beta2", "nan"), ("model", "aggregator", "median"),
     ("run", "seed", "-1"), ("data", "positive_class", "-1"),
 ])
 def test_invalid_training_values_rejected(section, key, value):
@@ -78,5 +79,15 @@ def test_invalid_split_ratios_rejected(key, value):
         parse_config(with_value("data", key, value))
 
 
-def test_zero_mse_weight_accepted():
-    assert parse_config(with_value("phase1", "mse_weight", "0.0")).mse_weight == 0.0
+def test_default_file_matches_the_dataclass_defaults():
+    assert default_config() == TrainConfig()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("phase1", "mse_weight", "1.0"), ("phase1", "detach_recon_target", "true"),
+    ("run", "batch_size", "1"),
+])
+def test_removed_training_knobs_rejected(section, key, value):
+    text = default_config_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config keys in [{section}]: ['{key}']")):
+        parse_config(text)

@@ -10,7 +10,7 @@ from setfusion.encoder import Encoder, EncoderConfig, phase1_loss
 from setfusion.errors import ContractError
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, add, linear, mean_of_scalars, mse, reduce
+from setfusion.tensor import Tensor, add, linear, mse, reduce
 
 
 def make_param(values, name="w"):
@@ -211,17 +211,17 @@ class TestGradientsInTheBuffer:
             current = reference_adam(values, grad_steps, 1e-2, 0.9, 0.999, 1e-8)
             # the allocating engine: every contribution a fresh array,
             # summed with `+` in reverse creation order
-            share = np.ones(()) / 3
             contrib = []
             for x, y in zip(xs, ys):
-                g = (2.0 / 3) * share * (current["w"] @ x + current["b"] - y)
+                g = (2.0 / 3) * (current["w"] @ x + current["b"] - y)
                 contrib.append((g[:, None] * x[None, :], g))
             grad_steps.append({
                 "w": contrib[2][0] + contrib[1][0] + contrib[0][0],
                 "b": contrib[2][1] + contrib[1][1] + contrib[0][1],
             })
 
-            loss = mean_of_scalars([mse(linear(w, Tensor(x), b), Tensor(y)) for x, y in zip(xs, ys)])
+            losses = [mse(linear(w, Tensor(x), b), Tensor(y)) for x, y in zip(xs, ys)]
+            loss = add(add(losses[0], losses[1]), losses[2])
             loss.backward()
             assert np.shares_memory(w.grad, opt._grad) and np.shares_memory(b.grad, opt._grad)
             assert w.grad.tobytes() == grad_steps[-1]["w"].tobytes()
@@ -288,8 +288,8 @@ class TestGradientsInTheBuffer:
         enc.freeze()
         stale = opt._grad.tobytes()
         payload = Tensor(x, requires_grad=True)  # gives the frozen graph something to train
-        loss = mean_of_scalars([reduce(enc.phi_forward(payload, 0), 0, "sum"),
-                                phase1_loss(enc.phase1_forward(payload, 1), 1)])
+        loss = add(reduce(enc.phi_forward(payload, 0), 0, "sum"),
+                   phase1_loss(enc.phase1_forward(payload, 1), 1))
         loss.backward()
         assert payload.grad is not None
         assert all(p.grad is None for p in enc.named_parameters().values())

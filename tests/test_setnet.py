@@ -201,21 +201,13 @@ class TestPhase2Loss:
             layer.bias.data[:] = 0.0
         model.layers[2].bias.data[:] = [60.0, -60.0]
         obs = random_obs(SeededRng(8), label=0)
-        assert phase2_loss(model, enc, [(obs, 0)]).item() < 1e-9
-
-    def test_batch_mean_equals_mean_of_singletons(self):
-        enc, model = make_models()
-        rng = SeededRng(9)
-        batch = [(random_obs(rng, label=i % 2), i % 2) for i in range(6)]
-        total = phase2_loss(model, enc, batch).item()
-        singles = [phase2_loss(model, enc, [pair]).item() for pair in batch]
-        assert abs(total - float(np.mean(singles))) < 1e-12
+        assert phase2_loss(model, enc, obs).item() < 1e-9
 
     def test_unlabeled_observation_rejected(self):
         enc, model = make_models()
-        obs = random_obs(SeededRng(10))
-        with pytest.raises(ContractError):
-            phase2_loss(model, enc, [(obs, None)])
+        obs = random_obs(SeededRng(10), label=None)
+        with pytest.raises(ContractError, match="unlabeled observation 't'"):
+            phase2_loss(model, enc, obs)
 
     def test_frozen_encoder_untouched_by_training_step(self):
         enc, model = make_models(seed=11)
@@ -224,8 +216,7 @@ class TestPhase2Loss:
         opt = Adam(model.named_parameters(), lr=1e-2)
         rng = SeededRng(12)
         for step in range(10):
-            batch = [(random_obs(rng, label=step % 2), step % 2)]
-            loss = phase2_loss(model, enc, batch)
+            loss = phase2_loss(model, enc, random_obs(rng, label=step % 2))
             loss.backward()
             opt.step()
         assert parameter_checksum(enc.named_parameters()) == checksum
@@ -233,14 +224,14 @@ class TestPhase2Loss:
     def test_gradients_reach_rho_parameters(self):
         enc, model = make_models(seed=13)
         enc.freeze()
-        loss = phase2_loss(model, enc, [(random_obs(SeededRng(14), label=1), 1)])
+        loss = phase2_loss(model, enc, random_obs(SeededRng(14), label=1))
         loss.backward()
         for name, p in model.named_parameters().items():
             assert p.grad is not None, name
 
     def test_joint_mode_gradients_reach_encoder_when_not_frozen(self):
         enc, model = make_models(seed=15)
-        loss = phase2_loss(model, enc, [(random_obs(SeededRng(16), label=0), 0)])
+        loss = phase2_loss(model, enc, random_obs(SeededRng(16), label=0))
         loss.backward()
         grads = [p.grad for p in enc.backbone.named_parameters().values()]
         assert any(g is not None and np.any(g != 0) for g in grads)
