@@ -6,7 +6,7 @@ replays these closures over the recorded graph in reverse creation
 order, which equals reverse execution order for a single-threaded
 forward pass, visiting each recorded node exactly once.
 
-Node overhead, not arithmetic, bounds a batch-1 step, so a stack of
+Node overhead, not arithmetic, bounds a one-item step, so a stack of
 dense layers with relu between them is one node (`dense_stack`), and
 `linear` is its one-layer case. Results are bitwise those of a chain of
 `linear` and `relu` nodes. Its input is 1d, or, in a call that
