@@ -7,7 +7,7 @@ from setfusion.hypernet import ModalityId
 from setfusion.nn import aggregate
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, dense_stack, mse, no_grad, reduce, softmax_cross_entropy
+from setfusion.tensor import Tensor, add, dense_stack, mse, no_grad, reduce, softmax_cross_entropy
 
 from conftest import central_difference, rel_err
 
@@ -155,6 +155,44 @@ class TestPhase1Loss:
         out = enc.phase1_forward(np.ones(6), 0)
         with pytest.raises(ValueError):
             phase1_loss(out, 2)
+
+    @staticmethod
+    def _attached_loss(out, y):
+        # phase1_loss with z left live on the target side of the mse
+        return add(mse(out.z, out.z_rec), softmax_cross_entropy(out.y_pred, y))
+
+    def test_detached_target_blocks_gradient_on_target_side(self):
+        enc = make_encoder(seed=10)
+        x = SeededRng(11).normal(6)
+
+        out = enc.phase1_forward(x, 0)
+        phase1_loss(out, 0).backward()
+        detached = {n: p.grad.copy() if p.grad is not None else None
+                    for n, p in enc.named_parameters().items()}
+        for p in enc.named_parameters().values():
+            p.zero_grad()
+
+        out = enc.phase1_forward(x, 0)
+        self._attached_loss(out, 0).backward()
+        attached = {n: p.grad for n, p in enc.named_parameters().items()}
+        first = "encoder/backbone/0/w"
+        assert np.any(detached[first] != attached[first])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_full_loss_gradient_matches_finite_differences(self, seed):
+        # the phase-1 graph is differentiable end to end: with the target
+        # side live, plain finite differences of the loss are the oracle
+        enc = make_encoder(seed=seed)
+        x = SeededRng((seed, 2)).normal(6)
+        y = seed % 2
+        m = seed % 3
+
+        def eval_loss():
+            with no_grad():
+                return self._attached_loss(enc.phase1_forward(x, m), y).item()
+
+        self._attached_loss(enc.phase1_forward(x, m), y).backward()
+        assert _spot_check_params(enc, eval_loss, SeededRng((seed, 3))) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_detached_loss_gradient_matches_fixed_target_oracle(self, seed):
