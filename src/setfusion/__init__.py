@@ -29,6 +29,7 @@ from .setnet import (
     f_forward,
     phase2_loss,
     pool_set,
+    pool_sets,
     predict_proba,
 )
 from .tensor import (

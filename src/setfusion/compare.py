@@ -66,14 +66,18 @@ class Scenario:
 
     def check(self) -> None:
         """Reject, naming this scenario, any value that would fail one of its runs."""
+        self._check_values()
+        for model in self.models:
+            _model_kind(model, self)
+
+    def _check_values(self) -> None:
+        """Reject, naming this scenario, a value `generate` or `apply_missingness` would."""
         try:
             check_generate_args(self.schema(), self.n, self.class_sep, self.noise_sigma,
                                 self.bag_size_range)
             check_missingness_args(self.missing_rate, self.mechanism, self.k, self.num_modalities)
         except ValueError as exc:
             raise ConfigError(f"scenario {self.name!r}: {exc}") from exc
-        for model in self.models:
-            _model_kind(model, self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -235,6 +239,7 @@ def _model_kind(model: str, scenario: Scenario) -> BaselineKind | None:
 def run_scenario_model(scenario: Scenario, model: str, seed: int, base_cfg: TrainConfig) -> MetricSet:
     """One full training run; pure in (scenario, model, seed, base_cfg)."""
     kind = _model_kind(model, scenario)  # validates before any heavy work
+    scenario._check_values()
     cfg = replace(base_cfg, seed=seed, two_steps=(model != "setfusion_joint"))
     schema = scenario.schema()
     samples = generate(
@@ -268,6 +273,8 @@ def scenario_compare(
     """Run every (scenario, model, seed) combination and aggregate."""
     if not seeds:
         raise ValueError("scenario_compare: need at least one seed")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"scenario_compare: jobs must be an integer >= 1, got {jobs!r}")
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate scenario names: {names}")

@@ -26,6 +26,7 @@ from .tensor import (
     mse,
     no_grad,
     reduce,
+    row,
     softmax_cross_entropy,
 )
 
@@ -108,23 +109,35 @@ class Encoder:
         e = self.hypernet.conditional_linear(z, m)
         return Phase1Output(z=z, e=e, z_rec=self.decoder(e), y_pred=self.uniclassifier(e))
 
-    def pool_instances(self, xs, m) -> Tensor:
-        """Elementwise max over the latent features of a bag of payloads.
-
-        Frozen, a bag of arrays is one (k, r) stack and one `phi_forward`
-        call, bitwise equal to k separate calls. Unfrozen, each payload
-        is its own φ pass, so the gradient into the hypernetwork sums in
-        the same order as for single payloads; so is each `Tensor`
-        payload, which may take gradient.
-        """
-        if not self.frozen or any(isinstance(x, Tensor) for x in xs):
-            return aggregate([self.phi_forward(x, m) for x in xs], "max")
-        if not xs:
-            raise ValueError("pool_instances: empty bag")
+    def stack_payloads(self, xs) -> np.ndarray:
+        """1d payloads (arrays or `Tensor`s) as one (k, r) stack; a payload
+        of another shape raises the `ShapeError` a φ pass of it alone would."""
+        xs = [x.data if isinstance(x, Tensor) else x for x in xs]
         for x in xs:
             if np.shape(x) != (self.cfg.input_width,):
                 raise self._width_error(np.shape(x))
-        return reduce(self.phi_forward(np.stack(xs), m), 0, "max")
+        return np.stack(xs)
+
+    def pool_instances(self, bags, m) -> list[Tensor]:
+        """The elementwise max over the latent features of each bag of payloads.
+
+        Frozen, the instances of all bags are one (k, r) stack and one
+        `phi_forward` call, and each bag's max is bitwise that of k
+        separate calls. Unfrozen, each payload is its own φ pass, so the
+        gradient into the hypernetwork sums in the same order as for
+        single payloads; so is each `Tensor` payload, which may take
+        gradient.
+        """
+        if not all(bags):
+            raise ValueError("pool_instances: empty bag")
+        if not self.frozen or any(isinstance(x, Tensor) for bag in bags for x in bag):
+            return [aggregate([self.phi_forward(x, m) for x in bag], "max") for bag in bags]
+        latents = self.phi_forward(self.stack_payloads([x for bag in bags for x in bag]), m)
+        if len(bags) == 1:  # every `pool_set` call: a plain reduce costs less than split rows
+            return [reduce(latents, 0, "max")]
+        starts = np.cumsum([0, *map(len, bags[:-1])])
+        maxima = Tensor(np.maximum.reduceat(latents.data, starts, axis=0))
+        return [row(maxima, i) for i in range(len(bags))]
 
     def freeze(self) -> "Encoder":
         """Make every parameter a constant and generate each modality's

@@ -5,6 +5,11 @@ pairs: absent modalities are simply not in the set. Each element is
 encoded by the shared encoder, the features are aggregated with an
 order-independent reduction, and a small dense network maps the
 aggregate to class logits. Set size never changes the output width.
+
+`pool_set` and `predict_proba` take one set. `pool_sets` pools a whole
+list of sets in one no-grad pass: a frozen encoder then makes one
+stacked φ call per modality instead of one per element, with results
+bitwise those of `pool_set`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import ContractError
 from .hypernet import ModalityId
 from .nn import AGGREGATOR_KINDS, MLP, aggregate
 from .rng import SeededRng
-from .tensor import Tensor, no_grad, softmax, softmax_cross_entropy
+from .tensor import Tensor, no_grad, row, softmax, softmax_cross_entropy
 
 
 @dataclass
@@ -78,10 +83,40 @@ def pool_set(enc: Encoder, obs: SetObservation, aggregator: str) -> Tensor:
     feats = []
     for payload, modality in obs.elements:
         if isinstance(payload, (list, tuple)):
-            feats.append(enc.pool_instances(list(payload), modality))
+            feats.append(enc.pool_instances([payload], modality)[0])
         else:
             feats.append(enc.phi_forward(payload, modality))
     return aggregate(feats, aggregator)
+
+
+def pool_sets(enc: Encoder, sets: list[SetObservation], aggregator: str) -> list[Tensor]:
+    """The pooled latent of each set, bitwise `pool_set` of each, in one no-grad pass.
+
+    A frozen encoder encodes the plain payloads of one modality, across
+    all sets, in one stacked `phi_forward` call, and pools the bags of
+    one modality in one `pool_instances` call; each set's latents then
+    go through `aggregate` as in `pool_set`. An unfrozen encoder takes
+    `pool_set` set by set.
+    """
+    with no_grad():
+        if not enc.frozen:
+            return [pool_set(enc, obs, aggregator) for obs in sets]
+        feats: list[list] = [[None] * obs.q for obs in sets]
+        groups: dict[tuple[bool, int], list] = {}  # (bag?, modality index) -> [(i, j, payload)]
+        for i, obs in enumerate(sets):
+            for j, (payload, modality) in enumerate(obs.elements):
+                key = (isinstance(payload, (list, tuple)), enc.hypernet.index(modality))
+                groups.setdefault(key, []).append((i, j, payload))
+        for (bags, m), members in groups.items():
+            payloads = [payload for _, _, payload in members]
+            if bags:
+                latents = enc.pool_instances(payloads, m)
+            else:
+                stacked = enc.phi_forward(enc.stack_payloads(payloads), m)
+                latents = [row(stacked, k) for k in range(len(payloads))]
+            for (i, j, _), latent in zip(members, latents):
+                feats[i][j] = latent
+        return [aggregate(f, aggregator) for f in feats]
 
 
 def f_forward(model: SetClassifier, enc: Encoder, obs: SetObservation) -> Tensor:

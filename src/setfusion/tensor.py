@@ -367,24 +367,26 @@ def softmax_cross_entropy(logits: Tensor, target_class: int) -> Tensor:
         raise ValueError(f"softmax_cross_entropy: class {target_class} out of range [0, {c})")
     target_class = int(target_class)
     z = logits.data
-    m = z.max()
+    m = np.maximum.reduce(z)
     exps = np.exp(z - m)
-    lse = m + np.log(exps.sum())
-    probs = exps / exps.sum()
+    total = np.add.reduce(exps)
 
     def bwd(g):
-        delta = probs.copy()
+        delta = exps / total  # the probabilities, formed only when a gradient flows
         delta[target_class] -= 1.0
         _acc(logits, g * delta)
 
-    return _make(np.asarray(lse - z[target_class]), (logits,), bwd, "softmax_cross_entropy")
+    return _make(np.asarray(m + np.log(total) - z[target_class]), (logits,), bwd,
+                 "softmax_cross_entropy")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Plain numpy softmax (prediction-side helper, not differentiable)."""
+    """Plain numpy softmax over the last axis: of one logit vector, or of
+    each row of a (k, C) stack, row i bitwise the softmax of row i alone
+    (prediction-side helper, not differentiable)."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -399,7 +401,7 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         _acc(a, scaled)
         _acc(b, -scaled)
 
-    return _make(np.asarray(np.mean(diff * diff)), (a, b), bwd, "mse")
+    return _make(np.asarray(np.add.reduce(diff * diff) / n), (a, b), bwd, "mse")
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@ a frozen encoder feeding the set classifier.
 
 Stage 1 consumes every observed payload (and every bag instance) as an
 independent (payload, modality, label) item. Stage 2 freezes the
-encoder, encodes each set once into its pooled latent, and optimizes
+encoder, encodes the train and validation sets once into their pooled
+latents (`pool_sets`: one stacked φ call per modality), and optimizes
 only the classifier head on those fixed vectors. Both stages share one
 loop: shuffled per-item Adam steps, per-epoch validation, early
 stopping on the validation loss with best-weight restore. A joint
 single-stage mode trains encoder and classifier together for ablation
 comparisons. Either way `run_full` returns a frozen encoder, so every
 prediction after training uses the conditional layers `freeze`
-generated once.
+generated once, and `evaluate_sets` scores the whole test split in one
+stacked ρ pass.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .metrics import MetricSet, accuracy_only, compute_metrics
 from .nn import AGGREGATOR_KINDS, parameters
 from .optim import Adam
 from .rng import SeededRng
-from .setnet import SetClassifier, SetObservation, phase2_loss, pool_set, predict_proba
-from .tensor import Tensor, no_grad, softmax_cross_entropy
+from .setnet import SetClassifier, SetObservation, phase2_loss, pool_sets
+from .tensor import Tensor, no_grad, softmax, softmax_cross_entropy, stack
 
 
 @dataclass
@@ -262,17 +264,17 @@ def train_phase2(
 ) -> PhaseReport:
     """Fit the set classifier over a frozen encoder.
 
-    A frozen encoder makes every set's pooled latent a constant, so each
-    train and validation set is encoded once, here, and the epochs train
-    only `model.rho` on those fixed vectors.
+    A frozen encoder makes every set's pooled latent a constant, so the
+    train and validation sets are encoded once, here, each list in one
+    `pool_sets` pass, and the epochs train only `model.rho` on those
+    fixed vectors.
     """
     if not enc.frozen:
         raise ContractError("phase 2 requires a frozen encoder; call enc.freeze() first")
     _require_labels("phase2", train_sets, val_sets)
 
     def encode(sets):
-        with no_grad():
-            return [(pool_set(enc, obs, model.aggregator), obs.label) for obs in sets]
+        return list(zip(pool_sets(enc, sets, model.aggregator), [obs.label for obs in sets]))
 
     def item_loss(item):
         latent, y = item
@@ -316,7 +318,12 @@ def evaluate_sets(
     test_sets: list[SetObservation],
     positive_class: int = 1,
 ) -> MetricSet:
-    """Test metrics; full binary metrics when the task is two-class."""
+    """Test metrics; full binary metrics when the task is two-class.
+
+    Every label is checked before any prediction. The sets are pooled in
+    one `pool_sets` pass and scored in one stacked ρ pass and a row-wise
+    `softmax`; each row is bitwise the `predict_proba` of its set.
+    """
     if not test_sets:
         raise ValueError("evaluate_sets: empty test set")
     num_classes = model.num_classes
@@ -332,15 +339,14 @@ def evaluate_sets(
                 f"label {obs.label!r} of '{obs.sample_id}' is not a class of a "
                 f"{num_classes}-class model"
             )
+    with no_grad():
+        logits = model.rho(stack(pool_sets(enc, test_sets, model.aggregator)))
+    probs = softmax(logits.data)
+    labels = [obs.label for obs in test_sets]
     if num_classes == 2:
-        scores = [
-            (float(predict_proba(model, enc, obs)[positive_class]), obs.label)
-            for obs in test_sets
-        ]
-        return compute_metrics(scores, positive_class=positive_class)
-    correct = sum(
-        int(np.argmax(predict_proba(model, enc, obs)) == obs.label) for obs in test_sets
-    )
+        return compute_metrics(list(zip(probs[:, positive_class].tolist(), labels)),
+                               positive_class=positive_class)
+    correct = int(np.count_nonzero(np.argmax(probs, axis=1) == labels))
     return accuracy_only(correct, len(test_sets), positive_class)
 
 

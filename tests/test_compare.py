@@ -155,6 +155,28 @@ def test_bad_scenario_value_rejected_before_the_first_run(overrides, expected):
     assert calls == []
 
 
+def test_run_scenario_model_checks_the_scenario_values_before_data_is_generated(monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated for a bad scenario")
+
+    monkeypatch.setattr(compare, "generate", no_data)
+    scenario = Scenario(name="bad", n=20, payload_width=4, missing_rate=2.0)
+    with pytest.raises(ConfigError) as err:
+        run_scenario_model(scenario, "unimodal_0", 0, TINY)
+    assert str(err.value) == "scenario 'bad': missing rate must be in [0, 1), got 2.0"
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2", None])
+def test_scenario_compare_rejects_a_jobs_that_is_not_a_positive_int(monkeypatch, jobs):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(compare, "run_scenario_model", no_run)
+    with pytest.raises(ValueError) as err:
+        scenario_compare([tiny_scenario()], [0], TINY, jobs=jobs)
+    assert str(err.value) == f"scenario_compare: jobs must be an integer >= 1, got {jobs!r}"
+
+
 def test_write_table_writes_header_and_rows_with_repr_floats(tmp_path):
     scenario = tiny_scenario(models=("unimodal_0", "zero_fill"))
     result = ComparisonResult(scenarios=[scenario], seeds=[0, 1])

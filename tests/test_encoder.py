@@ -219,32 +219,32 @@ class TestPoolInstances:
     def test_singleton_bag_equals_plain_forward(self):
         enc = make_encoder()
         x = SeededRng(12).normal(6)
-        pooled = enc.pool_instances([x], 1)
+        pooled = enc.pool_instances([[x]], 1)[0]
         np.testing.assert_array_equal(pooled.data, enc.phi_forward(x, 1).data)
 
     def test_duplicated_element_is_idempotent(self):
         enc = make_encoder()
         x = SeededRng(13).normal(6)
         np.testing.assert_array_equal(
-            enc.pool_instances([x, x.copy()], 0).data,
-            enc.pool_instances([x], 0).data,
+            enc.pool_instances([[x, x.copy()]], 0)[0].data,
+            enc.pool_instances([[x]], 0)[0].data,
         )
 
     def test_permutation_invariance_bitwise(self):
         enc = make_encoder()
         rng = SeededRng(14)
         bag = [rng.normal(6) for _ in range(5)]
-        reference = enc.pool_instances(bag, 2).data.tobytes()
+        reference = enc.pool_instances([bag], 2)[0].data.tobytes()
         for _ in range(100):
             order = rng.permutation(5)
             shuffled = [bag[i] for i in order]
-            assert enc.pool_instances(shuffled, 2).data.tobytes() == reference
+            assert enc.pool_instances([shuffled], 2)[0].data.tobytes() == reference
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_empty_bag_rejected(self, frozen):
         enc = make_encoder().freeze() if frozen else make_encoder()
         with pytest.raises(ValueError):
-            enc.pool_instances([], 0)
+            enc.pool_instances([[]], 0)
 
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("bad", [np.ones(7), np.ones(5), np.ones((2, 6)), np.float64(1.0)])
@@ -252,7 +252,7 @@ class TestPoolInstances:
         enc = make_encoder().freeze() if frozen else make_encoder()
         bag = [np.ones(6), bad, np.ones(6)]
         with pytest.raises(ShapeError) as err:
-            enc.pool_instances(bag, 0)
+            enc.pool_instances([bag], 0)
         assert str(err.value) == f"encoder expects payload width 6, got shape {np.shape(bad)}"
 
     @pytest.mark.parametrize("frozen", [False, True])
@@ -262,7 +262,7 @@ class TestPoolInstances:
         bad = np.ones(6)
         bad[3] = value
         with pytest.raises(NumericError):
-            enc.pool_instances([np.ones(6), bad], 1)
+            enc.pool_instances([[np.ones(6), bad]], 1)
 
 
 class TestFrozenBagStack:
@@ -289,16 +289,16 @@ class TestFrozenBagStack:
         enc.freeze()
         for (m, xs), expected in zip(bags, live):
             assert self.per_instance(enc, xs, m) == expected
-            assert enc.pool_instances(xs, m).data.tobytes() == expected
-            assert enc.pool_instances(xs, ModalityId(m)).data.tobytes() == expected
+            assert enc.pool_instances([xs], m)[0].data.tobytes() == expected
+            assert enc.pool_instances([xs], ModalityId(m))[0].data.tobytes() == expected
 
     def test_tensor_payloads_keep_their_gradient(self):
         enc = make_encoder(seed=24).freeze()
         rng = SeededRng(24)
         xs = [Tensor(rng.normal(6), requires_grad=True) for _ in range(3)]
         arrays = [x.data.copy() for x in xs]
-        pooled = enc.pool_instances(xs, 1)
-        assert pooled.data.tobytes() == enc.pool_instances(arrays, 1).data.tobytes()
+        pooled = enc.pool_instances([xs], 1)[0]
+        assert pooled.data.tobytes() == enc.pool_instances([arrays], 1)[0].data.tobytes()
         reduce(pooled, 0, "sum").backward()
         assert any(np.any(x.grad != 0.0) for x in xs)
 
@@ -314,7 +314,7 @@ class TestFrozenBagStack:
 
         monkeypatch.setattr(encoder, "dense_stack", counting_dense_stack)
         rng = SeededRng(22)
-        enc.pool_instances([rng.normal(6) for _ in range(5)], 2)
+        enc.pool_instances([[rng.normal(6) for _ in range(5)]], 2)
         assert calls == [(5, 6)]
 
     def test_unfrozen_phi_forward_rejects_a_stack(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from setfusion.encoder import Encoder, EncoderConfig, parameter_checksum
-from setfusion.errors import ContractError
+from setfusion.errors import ContractError, NumericError, ShapeError
 from setfusion.hypernet import ModalityId
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
@@ -12,10 +12,12 @@ from setfusion.setnet import (
     aggregate,
     f_forward,
     phase2_loss,
+    pool_set,
+    pool_sets,
     predict_proba,
 )
 from setfusion.nn import Dense
-from setfusion.tensor import Tensor, relu, softmax
+from setfusion.tensor import Tensor, no_grad, relu, softmax
 
 
 def make_models(seed=0, d=3, r=6, d_l=4, num_classes=2, aggregator="mean"):
@@ -235,3 +237,91 @@ class TestPhase2Loss:
         loss.backward()
         grads = [p.grad for p in enc.backbone.named_parameters().values()]
         assert any(g is not None and np.any(g != 0) for g in grads)
+
+
+def mixed_sets(rng, count=60, d=3, r=6):
+    """Sets of 1–3 elements: plain payloads and bags of 1–8, arrays and
+    `Tensor`s, and some sets that repeat a modality."""
+    def payload():
+        x = rng.normal(r)
+        return Tensor(x) if rng.uniform(0.0, 1.0) < 0.3 else x
+
+    sets = []
+    for i in range(count):
+        elements = []
+        for _ in range(int(rng.integers(1, 4))):
+            m = ModalityId(int(rng.integers(0, d)))
+            if rng.uniform(0.0, 1.0) < 0.5:
+                elements.append(([payload() for _ in range(int(rng.integers(1, 9)))], m))
+            else:
+                elements.append((payload(), m))
+        sets.append(SetObservation(elements=elements, label=i % 2, sample_id=f"s{i}"))
+    return sets
+
+
+class TestPoolSets:
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max"])
+    def test_bitwise_equal_to_pool_set_of_each(self, frozen, aggregator):
+        enc, _ = make_models(seed=30)
+        if frozen:
+            enc.freeze()
+        sets = mixed_sets(SeededRng((30, aggregator)))
+        assert any(len({m.index for _, m in obs.elements}) < obs.q for obs in sets)
+        with no_grad():
+            expected = [pool_set(enc, obs, aggregator).data.tobytes() for obs in sets]
+        pooled = pool_sets(enc, sets, aggregator)
+        assert [p.data.tobytes() for p in pooled] == expected
+        assert not any(p.requires_grad for p in pooled)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_no_sets_no_latents(self, frozen):
+        enc, _ = make_models()
+        assert pool_sets(enc.freeze() if frozen else enc, [], "mean") == []
+
+    def test_one_phi_pass_per_plain_modality_and_one_pool_per_bag_modality(self, monkeypatch):
+        enc, _ = make_models(seed=31)
+        enc.freeze()
+        rng = SeededRng(31)
+        sets = [
+            SetObservation(elements=[(rng.normal(6), ModalityId(0)),
+                                     ([rng.normal(6) for _ in range(k)], ModalityId(1)),
+                                     (rng.normal(6), ModalityId(2))], label=0, sample_id=str(k))
+            for k in range(1, 9)
+        ]
+        phi, pools = [], []
+        phi_forward, pool_instances = enc.phi_forward, enc.pool_instances
+        monkeypatch.setattr(enc, "phi_forward",
+                            lambda x, m: phi.append((m, np.shape(x))) or phi_forward(x, m))
+        monkeypatch.setattr(enc, "pool_instances",
+                            lambda bags, m: pools.append((m, len(bags))) or pool_instances(bags, m))
+        pool_sets(enc, sets, "mean")
+        assert sorted(phi) == [(0, (8, 6)), (1, (36, 6)), (2, (8, 6))]
+        assert pools == [(1, 8)]
+
+    BAD = {
+        "width": ((np.ones(7), 0), ShapeError),
+        "bag_width": (([np.ones(6), np.ones(5)], 1), ShapeError),
+        "nan": ((np.full(6, np.nan), 0), NumericError),
+        "bag_inf": (([np.ones(6), np.full(6, np.inf)], 1), NumericError),
+        "modality": ((np.ones(6), 5), ValueError),
+        "bag_modality": (([np.ones(6)], 5), ValueError),
+        "empty_bag": (([], 1), ValueError),
+    }
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_a_bad_element_fails_as_in_pool_set(self, frozen, case):
+        enc, _ = make_models(seed=32)
+        if frozen:
+            enc.freeze()
+        element, error = self.BAD[case]
+        rng = SeededRng(32)
+        good = [random_obs(rng, bag_prob=0.5) for _ in range(4)]
+        bad = random_obs(rng, q=1)
+        bad.elements.append(element)  # after construction, which rejects an empty bag
+        with pytest.raises(error) as alone:
+            pool_set(enc, bad, "mean")
+        with pytest.raises(error) as batched:
+            pool_sets(enc, [*good, bad, *good], "mean")
+        assert str(batched.value) == str(alone.value)

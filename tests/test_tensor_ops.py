@@ -23,6 +23,7 @@ from setfusion.tensor import (
     relu,
     row,
     segment,
+    softmax,
     softmax_cross_entropy,
     stack,
 )
@@ -125,6 +126,19 @@ class TestSoftmaxCrossEntropy:
         expected[1] -= 1.0
         np.testing.assert_allclose(x.grad, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("width", [2, 3, 17, 40])
+    def test_value_and_gradient_bitwise_the_textbook_form(self, width):
+        z = SeededRng(width).normal(width)
+        target = width // 2
+        x = Tensor(z, requires_grad=True)
+        loss = softmax_cross_entropy(x, target)
+        loss.backward()
+        exps = np.exp(z - z.max())
+        assert loss.item() == float(z.max() + np.log(exps.sum()) - z[target])
+        expected = exps / exps.sum()
+        expected[target] -= 1.0
+        assert x.grad.tobytes() == expected.tobytes()
+
     @given(
         st.lists(st.floats(-30, 30), min_size=2, max_size=8),
         st.floats(-100, 100),
@@ -148,6 +162,24 @@ class TestMse:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mse(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("size", [1, 6, 32, 200])
+    def test_value_bitwise_the_mean_of_squares(self, size):
+        rng = SeededRng(size)
+        a, b = rng.normal(size), rng.normal(size)
+        assert mse(Tensor(a), Tensor(b)).item() == float(np.mean((a - b) * (a - b)))
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("width", [2, 3, 17])
+    def test_each_row_of_a_stack_bitwise_the_row_alone(self, width):
+        z = SeededRng(width).normal((50, width)) * 10.0
+        rows = softmax(z)
+        assert rows.shape == (50, width)
+        assert rows.tobytes() == np.stack([softmax(r) for r in z]).tobytes()
+        e = np.exp(z[0] - z[0].max())
+        assert softmax(z[0]).tobytes() == (e / e.sum()).tobytes()
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_is_two_diff_over_n(self, seed):

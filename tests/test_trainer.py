@@ -8,9 +8,10 @@ from setfusion.data import DatasetSchema, apply_missingness, generate, split, to
 from setfusion.encoder import Encoder, parameter_checksum, phase1_loss
 from setfusion.errors import ContractError
 from setfusion.hypernet import HyperNetwork
+from setfusion.metrics import accuracy_only, compute_metrics
 from setfusion.rng import SeededRng
-from setfusion.setnet import SetClassifier, SetObservation, phase2_loss, predict_proba
-from setfusion.tensor import Tensor, softmax_cross_entropy
+from setfusion.setnet import SetClassifier, SetObservation, phase2_loss, pool_sets, predict_proba
+from setfusion.tensor import Tensor, softmax, softmax_cross_entropy
 from setfusion.trainer import (
     EarlyStopper,
     TrainConfig,
@@ -394,12 +395,12 @@ class TestEvaluateSetsLabels:
         cfg = small_cfg()
         enc = Encoder(cfg.encoder_config(schema), SeededRng(0)).freeze()
         model = SetClassifier(cfg.d_l, num_classes, SeededRng(1), hidden=cfg.rho_hidden)
-        predictions = []
-        monkeypatch.setattr(trainer, "predict_proba",
-                            lambda *args: predictions.append(args) or predict_proba(*args))
+        encodes = []
+        monkeypatch.setattr(trainer, "pool_sets",
+                            lambda *args: encodes.append(args) or pool_sets(*args))
         with pytest.raises(ContractError) as err:
             trainer.evaluate_sets(model, enc, sets, positive_class=positive_class)
-        assert predictions == []
+        assert encodes == []
         return str(err.value)
 
     @pytest.mark.parametrize("num_classes", [2, 3])
@@ -421,6 +422,36 @@ class TestEvaluateSetsLabels:
         assert message == (
             f"positive_class {positive_class} is not a class of a {num_classes}-class model"
         )
+
+
+class TestEvaluateSetsStacked:
+    """`evaluate_sets` scores all test sets in one stacked ρ pass."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_probabilities_and_metrics_equal_per_set_predict_proba(self, num_classes, frozen,
+                                                                    monkeypatch):
+        schema = DatasetSchema(2, ["m0", "m1"], 8, num_classes, bag_modalities=(1,))
+        samples = generate(schema, n=60, seed=17, class_sep=2.0)
+        sets = [to_set(s, schema) for s in apply_missingness(samples, rate=0.4, seed=18)]
+        cfg = small_cfg()
+        enc = Encoder(cfg.encoder_config(schema), SeededRng(2))
+        if frozen:
+            enc.freeze()
+        model = SetClassifier(cfg.d_l, num_classes, SeededRng(3), hidden=cfg.rho_hidden,
+                              aggregator="max")
+        per_set = np.stack([predict_proba(model, enc, obs) for obs in sets])
+        stacked = []
+        monkeypatch.setattr(trainer, "softmax", lambda z: stacked.append(softmax(z)) or stacked[-1])
+        metrics = trainer.evaluate_sets(model, enc, sets)
+        assert len(stacked) == 1 and stacked[0].tobytes() == per_set.tobytes()
+        labels = [obs.label for obs in sets]
+        if num_classes == 2:
+            expected = compute_metrics([(float(p[1]), y) for p, y in zip(per_set, labels)])
+        else:
+            correct = sum(int(np.argmax(p) == y) for p, y in zip(per_set, labels))
+            expected = accuracy_only(correct, len(sets))
+        assert metrics.to_dict() == expected.to_dict()
 
 
 class TestPositiveClass:
