@@ -421,8 +421,13 @@ class TestDenseStackRows:
         for k in range(1, 9):
             rows = [TestDenseStack.weights([1, widths[0]], rng, integer)[0][1] for _ in range(k)]
             rows[0] = np.zeros(widths[0])  # every pre-activation on a relu kink
-            out = dense_stack(Tensor(np.stack(rows)), layers, final_relu)
+            before = [t.data.tobytes() for pair in layers for t in pair]
+            stack_ = Tensor(np.stack(rows))
+            out = dense_stack(stack_, layers, final_relu)
             assert out.shape == (k, widths[-1]) and out._bwd is None
+            # the in-place bias add and relu write only the layers' fresh outputs
+            assert stack_.data.tobytes() == np.stack(rows).tobytes()
+            assert [t.data.tobytes() for pair in layers for t in pair] == before
             for i, x in enumerate(rows):
                 assert out.data[i].tobytes() == dense_stack(Tensor(x), layers, final_relu).data.tobytes()
 
