@@ -392,8 +392,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     each row of a (k, C) stack, row i bitwise the softmax of row i alone
     (prediction-side helper, not differentiable)."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

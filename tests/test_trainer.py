@@ -428,9 +428,9 @@ class TestEvaluateSetsStacked:
     """`evaluate_sets` scores all test sets in one stacked ρ pass."""
 
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("num_classes", [2, 3])
-    def test_probabilities_and_metrics_equal_per_set_predict_proba(self, num_classes, frozen,
-                                                                    monkeypatch):
+    @pytest.mark.parametrize("num_classes, positive_class", [(2, 1), (2, 0), (3, 2)])
+    def test_probabilities_and_metrics_equal_per_set_predict_proba(
+            self, num_classes, positive_class, frozen, monkeypatch):
         schema = DatasetSchema(2, ["m0", "m1"], 8, num_classes, bag_modalities=(1,))
         samples = generate(schema, n=60, seed=17, class_sep=2.0)
         sets = [to_set(s, schema) for s in apply_missingness(samples, rate=0.4, seed=18)]
@@ -443,14 +443,15 @@ class TestEvaluateSetsStacked:
         per_set = np.stack([predict_proba(model, enc, obs) for obs in sets])
         stacked = []
         monkeypatch.setattr(trainer, "softmax", lambda z: stacked.append(softmax(z)) or stacked[-1])
-        metrics = trainer.evaluate_sets(model, enc, sets)
+        metrics = trainer.evaluate_sets(model, enc, sets, positive_class)
         assert len(stacked) == 1 and stacked[0].tobytes() == per_set.tobytes()
         labels = [obs.label for obs in sets]
         if num_classes == 2:
-            expected = compute_metrics([(float(p[1]), y) for p, y in zip(per_set, labels)])
+            expected = compute_metrics(
+                [(float(p[positive_class]), y) for p, y in zip(per_set, labels)], positive_class)
         else:
             correct = sum(int(np.argmax(p) == y) for p, y in zip(per_set, labels))
-            expected = accuracy_only(correct, len(sets))
+            expected = accuracy_only(correct, len(sets), positive_class)
         assert metrics.to_dict() == expected.to_dict()
 
 
