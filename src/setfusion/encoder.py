@@ -10,6 +10,7 @@ reconstructs z from e and a per-modality class predictor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -25,8 +26,6 @@ from .tensor import (
     dense_stack,
     mse,
     no_grad,
-    reduce,
-    row,
     softmax_cross_entropy,
 )
 
@@ -130,14 +129,12 @@ class Encoder:
         """
         if not all(bags):
             raise ValueError("pool_instances: empty bag")
-        if not self.frozen or any(isinstance(x, Tensor) for bag in bags for x in bag):
+        xs = [x for bag in bags for x in bag]
+        if not self.frozen or any(isinstance(x, Tensor) for x in xs):
             return [aggregate([self.phi_forward(x, m) for x in bag], "max") for bag in bags]
-        latents = self.phi_forward(self.stack_payloads([x for bag in bags for x in bag]), m)
-        if len(bags) == 1:  # every `pool_set` call: a plain reduce costs less than split rows
-            return [reduce(latents, 0, "max")]
-        starts = np.cumsum([0, *map(len, bags[:-1])])
-        maxima = Tensor(np.maximum.reduceat(latents.data, starts, axis=0))
-        return [row(maxima, i) for i in range(len(bags))]
+        latents = self.phi_forward(self.stack_payloads(xs), m)
+        starts = list(accumulate(map(len, bags[:-1]), initial=0))
+        return [Tensor(peak) for peak in np.maximum.reduceat(latents.data, starts, axis=0)]
 
     def freeze(self) -> "Encoder":
         """Make every parameter a constant and generate each modality's

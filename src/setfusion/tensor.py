@@ -12,11 +12,9 @@ dense layers with relu between them is one node (`dense_stack`), and
 `linear` and `relu` nodes. Its input is 1d, or, in a call that
 records nothing, a (k, n) stack of k inputs, so a frozen network
 encodes a whole bag, or a whole pass of sets, in one call. One loop
-over the layers serves both forms. It differs only in how it writes the
+over the layers serves both forms and differs only in how it writes the
 matrix-vector product, so each row of a stack's output is bitwise the
-output for that row alone, and in that a stack, never recorded, keeps
-no layer's arrays for backward and rectifies in place, so a long stack
-holds about one layer's output at a time.
+output for that row alone.
 
 Design constraints:
   - ops take `Tensor`s only; `as_tensor` makes leaves at the boundary.
@@ -75,7 +73,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():  # the method skips np.all's Python dispatch
             raise NumericError(f"tensor '{name or '<anon>'}' initialized with non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -233,15 +231,11 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
             raise ShapeError(f"linear: bias shape {b.shape} does not match output {w.shape[0]}")
         # a stack of matrix-vector products, each bitwise the 1d `w @ h`;
         # a matrix-matrix product (h @ w.T) sums in another order
-        y = (w.data @ h[:, :, None])[:, :, 0] if rows else w.data @ h
-        y += b.data
+        y = ((w.data @ h[:, :, None])[:, :, 0] if rows else w.data @ h) + b.data
         _check_finite(y, "linear")
         relu_after = i < last or final_relu
-        if rows:  # never recorded: keeps no layer's arrays, rectifies in place
-            h = np.maximum(y, 0.0, out=y) if relu_after else y
-        else:
-            steps.append((h, y if relu_after else None, need))
-            h = np.maximum(y, 0.0) if relu_after else y
+        steps.append((h, y if relu_after else None, need))
+        h = np.maximum(y, 0.0) if relu_after else y
         need = need or w.requires_grad or b.requires_grad
     if not (_grad_enabled and need):
         return _make(h, (), None, None)  # nothing to record
