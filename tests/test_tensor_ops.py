@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -169,6 +170,16 @@ class TestMse:
         a, b = rng.normal(size), rng.normal(size)
         assert mse(Tensor(a), Tensor(b)).item() == float(np.mean((a - b) * (a - b)))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gradient_is_two_diff_over_n(self, seed):
+        rng = SeededRng(seed)
+        a0 = rng.normal(6)
+        b = Tensor(rng.normal(6))
+        assert check_gradient(lambda a: mse(a, b), a0) < 1e-4
+        leaf = Tensor(a0, requires_grad=True)
+        mse(leaf, b).backward()
+        np.testing.assert_allclose(leaf.grad, 2 * (a0 - b.data) / 6, rtol=1e-12)
+
 
 class TestSoftmax:
     @pytest.mark.parametrize("width", [2, 3, 17])
@@ -180,16 +191,6 @@ class TestSoftmax:
         e = np.exp(z[0] - z[0].max())
         assert softmax(z[0]).tobytes() == (e / e.sum()).tobytes()
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_gradient_is_two_diff_over_n(self, seed):
-        rng = SeededRng(seed)
-        a0 = rng.normal(6)
-        b = Tensor(rng.normal(6))
-        assert check_gradient(lambda a: mse(a, b), a0) < 1e-4
-        leaf = Tensor(a0, requires_grad=True)
-        mse(leaf, b).backward()
-        np.testing.assert_allclose(leaf.grad, 2 * (a0 - b.data) / 6, rtol=1e-12)
 
 
 class TestShapeOps:
@@ -540,6 +541,17 @@ class TestNumericGuards:
     def test_nan_input_rejected_at_construction(self):
         with pytest.raises(NumericError):
             Tensor([np.nan, 1.0])
+
+    @pytest.mark.parametrize("data", [np.nan, [np.inf], [[1.0, -np.inf]]], ids=["0d", "1d", "2d"])
+    def test_non_finite_input_rejected_at_construction(self, data):
+        with pytest.raises(NumericError, match="initialized with non-finite values"):
+            Tensor(data)
+
+    def test_extreme_finite_input_accepted_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Tensor(np.full((2, 2), 1e308))
+        assert np.all(t.data == 1e308)
 
 
 class TestDeterminism:
