@@ -539,13 +539,9 @@ class TestNumericGuards:
             add(big, big)
 
     def test_nan_input_rejected_at_construction(self):
-        with pytest.raises(NumericError):
-            Tensor([np.nan, 1.0])
-
-    @pytest.mark.parametrize("data", [np.nan, [np.inf], [[1.0, -np.inf]]], ids=["0d", "1d", "2d"])
-    def test_non_finite_input_rejected_at_construction(self, data):
-        with pytest.raises(NumericError, match="initialized with non-finite values"):
-            Tensor(data)
+        for data in ([np.nan, 1.0], np.nan, [[1.0, -np.inf]]):
+            with pytest.raises(NumericError, match="initialized with non-finite values"):
+                Tensor(data)
 
     def test_extreme_finite_input_accepted_without_warning(self):
         with warnings.catch_warnings():
