@@ -82,16 +82,9 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         """A scenario from its JSON object; every key is type-checked."""
-        name = d.get("name", "?")
-        unknown = set(d) - set(_SCENARIO_TYPES)
-        if unknown:
-            raise ConfigError(f"scenario {name!r}: unknown keys {sorted(unknown)}")
         if "name" not in d:
             raise ConfigError("scenario without a 'name' key")
-        for key, value in d.items():
-            fits, expected = _SCENARIO_TYPES[key]
-            if not fits(value):
-                raise ConfigError(f"scenario {name!r}: {key} must be {expected}, got {value!r}")
+        _check_keys(d, _SCENARIO_TYPES, (), f"scenario {d['name']!r}")
         lists = {key: tuple(d[key]) for key in ("models", "bag_modalities", "bag_size_range") if key in d}
         return cls(**{**d, **lists})
 
@@ -102,6 +95,20 @@ def _number(v) -> bool:
 
 def _list_of(fits, v) -> bool:
     return isinstance(v, (list, tuple)) and all(map(fits, v))
+
+
+def _check_keys(d: dict, types: dict, required: tuple[str, ...], what: str) -> None:
+    """Reject, naming `what`, an unknown, missing or mistyped key of a JSON object."""
+    unknown = set(d) - set(types)
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ConfigError(f"{what}: missing keys {missing}")
+    for key, value in d.items():
+        fits, expected = types[key]
+        if not fits(value):
+            raise ConfigError(f"{what}: {key} must be {expected}, got {value!r}")
 
 
 _INT = (lambda v: _number(v) and isinstance(v, int), "an integer")
@@ -138,10 +145,17 @@ class OrderingAssertion:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OrderingAssertion":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"assertion on {d.get('scenario', '?')!r}: unknown keys {sorted(unknown)}")
-        return cls(**d)
+        """An assertion from its JSON object; every key is type-checked."""
+        what = f"assertion on {d.get('scenario', '?')!r}"
+        _check_keys(d, _ASSERTION_TYPES, ("scenario", "lhs", "rhs"), what)
+        try:
+            return cls(**d)
+        except ValueError as exc:  # a metric it does not report, a negative margin
+            raise ConfigError(f"{what}: {exc}") from exc
+
+
+# OrderingAssertion field -> (check of its JSON value, what the check expects)
+_ASSERTION_TYPES = {"scenario": _STR, "lhs": _STR, "rhs": _STR, "metric": _STR, "margin": _NUMBER}
 
 
 @dataclass

@@ -65,8 +65,7 @@ class Encoder:
 
     def __init__(self, cfg: EncoderConfig, rng: SeededRng):
         self.cfg = cfg
-        self.frozen = False
-        self._frozen_stacks: list[list[tuple[Tensor, Tensor]]] = []
+        self._frozen_stacks: list[list[tuple[Tensor, Tensor]]] = []  # per modality, once frozen
         self.backbone = MLP(
             [cfg.input_width, cfg.backbone_hidden, cfg.d_z],
             rng, "encoder/backbone", final_relu=True,
@@ -81,26 +80,40 @@ class Encoder:
     def _width_error(self, shape) -> ShapeError:
         return ShapeError(f"encoder expects payload width {self.cfg.input_width}, got shape {shape}")
 
-    def _check_input(self, x, ndims=(1,)) -> Tensor:
+    def _check_input(self, x) -> Tensor:
         x = as_tensor(x)
-        if x.data.ndim not in ndims or x.shape[-1] != self.cfg.input_width:
+        if x.shape != (self.cfg.input_width,):
             raise self._width_error(x.shape)
         return x
 
-    def phi_forward(self, x, m) -> Tensor:
-        """Latent features e for one payload conditioned on its modality.
+    def _phi_layers(self, m) -> list[tuple[Tensor, Tensor]]:
+        """φ's dense layers for modality m: the backbone's, then the
+        conditional layer; once frozen, the list `freeze` cached."""
+        if self._frozen_stacks:
+            return self._frozen_stacks[self.hypernet.index(m)]
+        backbone = [(layer.weight, layer.bias) for layer in self.backbone.layers]
+        return [*backbone, self.hypernet.generate_weights(m)]
 
-        Frozen, this is one `dense_stack` call: the backbone layers and
-        the modality's conditional layer that `freeze` generated. A
-        frozen encoder also takes a (k, r) stack of k payloads of one
-        modality and returns their (k, d_l) latents, row i bitwise the
-        latent of payload i alone.
-        """
-        if self.frozen:
-            x = self._check_input(x, (1, 2))
-            return dense_stack(x, self._frozen_stacks[self.hypernet.index(m)])
-        x = self._check_input(x)
-        return self.hypernet.conditional_linear(self.backbone(x), m)
+    @property
+    def frozen(self) -> bool:
+        return bool(self._frozen_stacks)
+
+    def phi_forward(self, x, m) -> Tensor:
+        """Latent features e of one payload, shape (r,), conditioned on its
+        modality: one `dense_stack` over `_phi_layers(m)`. A list of k
+        payloads is one (k, r) stack with (k, d_l) latents, row i bitwise
+        payload i alone; a stack records nothing, so with gradient on a
+        trainable encoder or a payload that takes gradient raises `ContractError`."""
+        if isinstance(x, list):
+            xs = [p.data if isinstance(p, Tensor) else p for p in x]
+            for p in xs:
+                if np.shape(p) != (self.cfg.input_width,):
+                    raise self._width_error(np.shape(p))
+            grad = any(isinstance(p, Tensor) and p.requires_grad for p in x)
+            x = Tensor(np.stack(xs), requires_grad=grad)
+        else:
+            x = self._check_input(x)
+        return dense_stack(x, self._phi_layers(m))
 
     def phase1_forward(self, x, m) -> Phase1Output:
         x = self._check_input(x)
@@ -108,31 +121,20 @@ class Encoder:
         e = self.hypernet.conditional_linear(z, m)
         return Phase1Output(z=z, e=e, z_rec=self.decoder(e), y_pred=self.uniclassifier(e))
 
-    def stack_payloads(self, xs) -> np.ndarray:
-        """1d payloads (arrays or `Tensor`s) as one (k, r) stack; a payload
-        of another shape raises the `ShapeError` a φ pass of it alone would."""
-        xs = [x.data if isinstance(x, Tensor) else x for x in xs]
-        for x in xs:
-            if np.shape(x) != (self.cfg.input_width,):
-                raise self._width_error(np.shape(x))
-        return np.stack(xs)
-
     def pool_instances(self, bags, m) -> list[Tensor]:
         """The elementwise max over the latent features of each bag of payloads.
 
-        Frozen, the instances of all bags are one (k, r) stack and one
-        `phi_forward` call, and each bag's max is bitwise that of k
-        separate calls. Unfrozen, each payload is its own φ pass, so the
-        gradient into the hypernetwork sums in the same order as for
-        single payloads; so is each `Tensor` payload, which may take
-        gradient.
-        """
+        Frozen, the instances of all bags are one `phi_forward` call on
+        their list, each bag's max bitwise that of k separate calls.
+        Trainable, each payload is its own φ pass, so a recorded bag's
+        gradient sums in the order single payloads give; so is each
+        `Tensor` payload, which may take gradient."""
         if not all(bags):
             raise ValueError("pool_instances: empty bag")
         xs = [x for bag in bags for x in bag]
-        if not self.frozen or any(isinstance(x, Tensor) for x in xs):
+        if not self.frozen or not xs or any(isinstance(x, Tensor) for x in xs):
             return [aggregate([self.phi_forward(x, m) for x in bag], "max") for bag in bags]
-        latents = self.phi_forward(self.stack_payloads(xs), m)
+        latents = self.phi_forward(xs, m)
         starts = list(accumulate(map(len, bags[:-1]), initial=0))
         return [Tensor(peak) for peak in np.maximum.reduceat(latents.data, starts, axis=0)]
 
@@ -141,11 +143,9 @@ class Encoder:
         conditional layer once; freeze again after writing parameters."""
         for p in self.named_parameters().values():
             p.requires_grad = False
-        backbone = [(layer.weight, layer.bias) for layer in self.backbone.layers]
+        self._frozen_stacks = []
         with no_grad():
-            heads = [self.hypernet.generate_weights(m) for m in range(self.cfg.num_modalities)]
-        self._frozen_stacks = [[*backbone, head] for head in heads]
-        self.frozen = True
+            self._frozen_stacks = [self._phi_layers(m) for m in range(self.cfg.num_modalities)]
         return self
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -7,9 +7,9 @@ order-independent reduction, and a small dense network maps the
 aggregate to class logits. Set size never changes the output width.
 
 `pool_set` and `predict_proba` take one set. `pool_sets` pools a whole
-list of sets in one no-grad pass: a frozen encoder then makes one
-stacked φ call per modality instead of one per element, with results
-bitwise those of `pool_set`.
+list of sets in one no-grad pass, over a frozen or a trainable encoder
+alike: one stacked φ call per plain modality instead of one per
+element, with results bitwise those of `pool_set`.
 """
 
 from __future__ import annotations
@@ -92,15 +92,11 @@ def pool_set(enc: Encoder, obs: SetObservation, aggregator: str) -> Tensor:
 def pool_sets(enc: Encoder, sets: list[SetObservation], aggregator: str) -> list[Tensor]:
     """The pooled latent of each set, bitwise `pool_set` of each, in one no-grad pass.
 
-    A frozen encoder encodes the plain payloads of one modality, across
-    all sets, in one stacked `phi_forward` call, and pools the bags of
-    one modality in one `pool_instances` call; each set's latents then
-    go through `aggregate` as in `pool_set`. An unfrozen encoder takes
-    `pool_set` set by set.
+    The plain payloads of one modality, across all sets, are one stacked
+    `phi_forward` call and the bags of one modality one `pool_instances`
+    call; each set's latents then go through `aggregate` as in `pool_set`.
     """
     with no_grad():
-        if not enc.frozen:
-            return [pool_set(enc, obs, aggregator) for obs in sets]
         feats: list[list] = [[None] * obs.q for obs in sets]
         groups: dict[tuple[bool, int], list] = {}  # (bag?, modality index) -> [(i, j, payload)]
         for i, obs in enumerate(sets):
@@ -112,7 +108,7 @@ def pool_sets(enc: Encoder, sets: list[SetObservation], aggregator: str) -> list
             if bags:
                 latents = enc.pool_instances(payloads, m)
             else:
-                stacked = enc.phi_forward(enc.stack_payloads(payloads), m)
+                stacked = enc.phi_forward(payloads, m)
                 latents = [row(stacked, k) for k in range(len(payloads))]
             for (i, j, _), latent in zip(members, latents):
                 feats[i][j] = latent

@@ -10,11 +10,12 @@ Node overhead, not arithmetic, bounds a one-item step, so a stack of
 dense layers with relu between them is one node (`dense_stack`), and
 `linear` is its one-layer case. Results are bitwise those of a chain of
 `linear` and `relu` nodes. Its input is 1d, or, in a call that
-records nothing, a (k, n) stack of k inputs, so a frozen network
-encodes a whole bag, or a whole pass of sets, in one call. One loop
-over the layers serves both forms and differs only in how it writes the
-matrix-vector product, so each row of a stack's output is bitwise the
-output for that row alone.
+records nothing, a (k, n) stack, so a network encodes a whole bag or
+pass of sets in one no-grad call. One loop over the layers serves both
+forms, differing only in how it writes the matrix-vector product, so
+each row of a stack's output is bitwise that row's alone. Whether a
+call records is decided before the loop; only a recording call keeps
+its layers' arrays.
 
 Design constraints:
   - ops take `Tensor`s only; `as_tensor` makes leaves at the boundary.
@@ -206,9 +207,9 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
 
     x is 1d, or a (k, n) stack of k inputs when the call records
     nothing (under `no_grad`, or when neither x nor any layer takes
-    gradient); a stack that would be recorded raises `ContractError`.
-    One loop over the layers serves both forms; row i of a stack's
-    output is bitwise the output for row i alone.
+    gradient); a stack that would be recorded raises `ContractError`
+    before any arithmetic. One loop over the layers serves both forms;
+    row i of a stack's output is bitwise the output for row i alone.
 
     Bitwise equal to a chain of one-layer stacks and `relu` nodes: each
     layer's pre-activation is probed (a -inf the relu would clamp still
@@ -219,9 +220,12 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
     rows = x.data.ndim == 2
     if not rows and x.data.ndim != 1:
         raise ShapeError(f"dense_stack: expected a 1d input or a (k, n) stack, got shape {x.shape}")
+    record = _grad_enabled and (x.requires_grad or any(t.requires_grad for pair in layers for t in pair))
+    if record and rows:
+        raise ContractError("dense_stack: a (k, n) stack takes gradient; only 1d inputs are recorded")
     last = len(layers) - 1
     need = x.requires_grad  # this layer's input takes gradient
-    # per layer: its input, its pre-activation (None: no relu after it), need
+    # per layer of a recorded call: its input, its pre-activation (None: no relu after it), need
     steps = []
     h = x.data
     for i, (w, b) in enumerate(layers):
@@ -234,13 +238,12 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
         y = ((w.data @ h[:, :, None])[:, :, 0] if rows else w.data @ h) + b.data
         _check_finite(y, "linear")
         relu_after = i < last or final_relu
-        steps.append((h, y if relu_after else None, need))
+        if record:
+            steps.append((h, y if relu_after else None, need))
+            need = need or w.requires_grad or b.requires_grad
         h = np.maximum(y, 0.0) if relu_after else y
-        need = need or w.requires_grad or b.requires_grad
-    if not (_grad_enabled and need):
+    if not record:
         return _make(h, (), None, None)  # nothing to record
-    if rows:
-        raise ContractError("dense_stack: a (k, n) stack takes gradient; only 1d inputs are recorded")
 
     def bwd(g):
         for i in range(last, -1, -1):

@@ -9,10 +9,11 @@ only the classifier head on those fixed vectors. Both stages share one
 loop: shuffled per-item Adam steps, per-epoch validation, early
 stopping on the validation loss with best-weight restore. A joint
 single-stage mode trains encoder and classifier together for ablation
-comparisons. Either way `run_full` returns a frozen encoder, so every
-prediction after training uses the conditional layers `freeze`
-generated once, and `evaluate_sets` scores the whole test split in one
-stacked ρ pass.
+comparisons. φ is one dense stack, trainable or frozen; freezing only
+caches each modality's generated conditional layer. Either way
+`run_full` returns a frozen encoder, so no prediction after training
+runs the hypernetwork again, and `evaluate_sets` scores the whole test
+split in one stacked ρ pass.
 """
 
 from __future__ import annotations
@@ -31,6 +32,17 @@ from .optim import Adam
 from .rng import SeededRng
 from .setnet import SetClassifier, SetObservation, phase2_loss, pool_sets
 from .tensor import Tensor, no_grad, softmax, softmax_cross_entropy, stack
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# TrainConfig integer field -> its least value
+_INT_FIELDS = {"seed": 0, "positive_class": 0, "patience": 1, "max_epochs_phase1": 1,
+               "max_epochs_phase2": 1, "d_z": 1, "d_l": 1, "backbone_hidden": 1,
+               "decoder_hidden": 1, "embed_dim": 1, "hyper_hidden": 1}
 
 
 @dataclass
@@ -65,19 +77,16 @@ class TrainConfig:
         check_split_ratios(self.split_ratios)
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
-        for name in ("seed", "positive_class"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        for name in ("max_epochs_phase1", "max_epochs_phase2", "d_z", "d_l", "backbone_hidden",
-                     "decoder_hidden", "embed_dim", "hyper_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if len(self.rho_hidden) != 2 or min(self.rho_hidden) < 1:
-            raise ValueError(
-                f"rho_hidden must be exactly two positive widths, got {self.rho_hidden}"
-            )
+        for name, low in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        widths = self.rho_hidden
+        if not (isinstance(widths, (tuple, list)) and len(widths) == 2
+                and all(_is_int(w) and w >= 1 for w in widths)):
+            raise ValueError(f"rho_hidden must be exactly two positive integer widths, got {widths!r}")
 
     def check_schema(self, schema: DatasetSchema) -> None:
         """Reject values that do not fit the dataset, before any training."""
@@ -327,7 +336,7 @@ def evaluate_sets(
     if not test_sets:
         raise ValueError("evaluate_sets: empty test set")
     num_classes = model.num_classes
-    if positive_class not in range(num_classes):
+    if not (_is_int(positive_class) and 0 <= positive_class < num_classes):
         raise ContractError(
             f"positive_class {positive_class!r} is not a class of a {num_classes}-class model"
         )

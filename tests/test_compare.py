@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -53,8 +55,34 @@ def test_assertion_on_an_unreported_metric_rejected(metric):
 
 
 def test_assertion_with_an_unknown_key_rejected():
-    with pytest.raises(ValueError, match=r"'tiny': unknown keys \['metrc'\]"):
+    with pytest.raises(ConfigError, match=r"'tiny': unknown keys \['metrc'\]"):
         OrderingAssertion.from_dict({"scenario": "tiny", "lhs": "a", "rhs": "b", "metrc": "auc"})
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"scenario": "tiny", "lhs": "a"}, "missing keys ['rhs']"),
+    ({"lhs": "a", "rhs": "b"}, "missing keys ['scenario']"),
+    ({"scenario": "tiny", "lhs": "a", "rhs": "b", "margin": "0.02"}, "margin must be a number, got '0.02'"),
+    ({"scenario": "tiny", "lhs": "a", "rhs": "b", "margin": True}, "margin must be a number, got True"),
+    ({"scenario": "tiny", "lhs": 1, "rhs": "b"}, "lhs must be a string, got 1"),
+    ({"scenario": "tiny", "lhs": "a", "rhs": None}, "rhs must be a string, got None"),
+    ({"scenario": "tiny", "lhs": "a", "rhs": "b", "metric": ["auc"]},
+     "metric must be a string, got ['auc']"),
+    ({"scenario": "tiny", "lhs": "a", "rhs": "b", "metric": "acc"},
+     "assertion metric must be one of"),
+    ({"scenario": "tiny", "lhs": "a", "rhs": "b", "margin": -1},
+     "assertion margin must be finite and >= 0, got -1"),
+])
+def test_assertion_from_dict_checks_each_key(d, message):
+    with pytest.raises(ConfigError) as err:
+        OrderingAssertion.from_dict(d)
+    assert str(err.value).startswith(f"assertion on {d.get('scenario', '?')!r}: {message}")
+
+
+def test_assertion_from_dict_reads_the_shipped_assertions():
+    path = Path(compare.__file__).parent / "configs" / "scenarios.json"
+    for d in json.loads(path.read_text())["assertions"]:
+        assert OrderingAssertion.from_dict(d) == OrderingAssertion(**d)
 
 
 @pytest.mark.parametrize("margin", [-0.02, float("nan"), float("inf")])

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from setfusion.encoder import Encoder, EncoderConfig, parameter_checksum, phase1_loss
-from setfusion.errors import NumericError, ShapeError
+from setfusion.errors import ContractError, NumericError, ShapeError
 from setfusion.hypernet import ModalityId
 from setfusion.nn import aggregate
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
+from setfusion.setnet import SetClassifier, SetObservation, pool_set, pool_sets, predict_proba
 from setfusion.tensor import Tensor, add, dense_stack, mse, no_grad, reduce, softmax_cross_entropy
 
 from conftest import central_difference, rel_err
@@ -241,6 +242,11 @@ class TestPoolInstances:
             assert enc.pool_instances([shuffled], 2)[0].data.tobytes() == reference
 
     @pytest.mark.parametrize("frozen", [False, True])
+    def test_no_bags_no_latents(self, frozen):
+        enc = make_encoder().freeze() if frozen else make_encoder()
+        assert enc.pool_instances([], 0) == []
+
+    @pytest.mark.parametrize("frozen", [False, True])
     def test_empty_bag_rejected(self, frozen):
         enc = make_encoder().freeze() if frozen else make_encoder()
         with pytest.raises(ValueError):
@@ -317,12 +323,58 @@ class TestFrozenBagStack:
         enc.pool_instances([[rng.normal(6) for _ in range(5)]], 2)
         assert calls == [(5, 6)]
 
-    def test_unfrozen_phi_forward_rejects_a_stack(self):
+
+class TestPayloadForms:
+    """φ takes one (r,) payload or a list of payloads, frozen or trainable."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("entry", ["phi_forward", "pool_set", "predict_proba", "pool_sets"])
+    def test_a_2d_array_is_one_malformed_payload(self, frozen, entry):
         enc = make_encoder(seed=23)
-        stack_ = np.ones((2, 6))
-        with pytest.raises(ShapeError, match=r"payload width 6, got shape \(2, 6\)"):
-            enc.phi_forward(stack_, 0)
-        assert enc.freeze().phi_forward(stack_, 0).shape == (2, 4)
+        if frozen:
+            enc.freeze()
+        model = SetClassifier(4, 2, SeededRng(23), hidden=(3, 3))
+        obs = SetObservation(elements=[(np.ones((2, 6)), ModalityId(0))])
+        calls = {
+            "phi_forward": lambda: enc.phi_forward(np.ones((2, 6)), 0),
+            "pool_set": lambda: pool_set(enc, obs, "mean"),
+            "predict_proba": lambda: predict_proba(model, enc, obs),
+            "pool_sets": lambda: pool_sets(enc, [obs], "mean"),
+        }
+        with pytest.raises(ShapeError) as err:
+            calls[entry]()
+        assert str(err.value) == "encoder expects payload width 6, got shape (2, 6)"
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_a_list_is_bitwise_the_rows_of_single_payloads(self, frozen):
+        enc = make_encoder(seed=25)
+        if frozen:
+            enc.freeze()
+        rng = SeededRng(25)
+        xs = [rng.normal(6) for _ in range(5)]
+        xs[0] = np.zeros(6)  # every backbone pre-activation at its bias
+        with no_grad():
+            stacked = enc.phi_forward([xs[0], *(Tensor(x) for x in xs[1:])], 2)
+            rows = [enc.phi_forward(x, 2).data.tobytes() for x in xs]
+        assert stacked.shape == (5, 4) and not stacked.requires_grad
+        assert [r.tobytes() for r in stacked.data] == rows
+
+    def test_a_list_under_grad_on_a_trainable_encoder_is_rejected(self):
+        enc = make_encoder(seed=26)
+        xs = [np.ones(6), np.zeros(6)]
+        with pytest.raises(ContractError, match="stack takes gradient"):
+            enc.phi_forward(xs, 0)
+        assert enc.freeze().phi_forward(xs, 0).shape == (2, 4)
+        with pytest.raises(ContractError, match="stack takes gradient"):
+            enc.phi_forward([Tensor(np.ones(6), requires_grad=True)], 0)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("bad", [np.ones(7), np.ones((2, 6)), np.float64(1.0)])
+    def test_a_list_names_its_malformed_payload(self, frozen, bad):
+        enc = make_encoder(seed=27).freeze() if frozen else make_encoder(seed=27)
+        with pytest.raises(ShapeError) as err, no_grad():
+            enc.phi_forward([np.ones(6), Tensor(bad)], 1)
+        assert str(err.value) == f"encoder expects payload width 6, got shape {np.shape(bad)}"
 
 
 class TestFreezeContract:
@@ -342,8 +394,6 @@ class TestFreezeContract:
 
     def test_frozen_parameters_rejected_by_optimizer(self):
         enc = make_encoder().freeze()
-        from setfusion.errors import ContractError
-
         with pytest.raises(ContractError):
             Adam(enc.named_parameters())
 

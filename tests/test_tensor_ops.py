@@ -446,6 +446,14 @@ class TestDenseStackRows:
         assert out._bwd is None and not out.requires_grad
         assert out.data[1].tobytes() == linear(layer[0], Tensor(x.data[1]), layer[1]).data.tobytes()
 
+    def test_a_stack_that_would_record_is_rejected_before_any_arithmetic(self):
+        layer = (Tensor([[1e308, 1e308]], requires_grad=True), Tensor([0.0]))
+        x = Tensor([[1e308, 1e308], [1.0, 1.0]])  # the first row's product overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="stack takes gradient"):
+                dense_stack(x, [layer])
+
     def test_shape_errors_name_the_stack(self):
         w, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(3))
         good = (Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
@@ -597,3 +605,40 @@ def test_every_public_engine_function_is_reached_from_src():
     unreached = {name for name, node in functions.items()
                  if node not in reached and not name.startswith("_")}
     assert sorted(unreached - UNCALLED_ALLOWED.keys()) == []
+
+
+def _private_engine_names(tree: ast.AST) -> list[str]:
+    """Underscore names of the engine that `tree` imports from it or reads
+    off a name bound to the engine module."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            if source in (".tensor", "setfusion.tensor"):
+                found += [a.name for a in node.names if a.name.startswith("_")]
+            elif source in (".", "setfusion"):
+                modules |= {a.asname or a.name for a in node.names if a.name == "tensor"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "setfusion.tensor" and a.asname}
+    return found + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id in modules
+                    and n.attr.startswith("_")]
+
+
+@pytest.mark.parametrize("source, names", [
+    ("from .tensor import Tensor, _make", ["_make"]),
+    ("from setfusion.tensor import _grad_enabled as on", ["_grad_enabled"]),
+    ("from . import tensor\nif tensor._grad_enabled: tensor.no_grad()", ["_grad_enabled"]),
+    ("import setfusion.tensor as t\nt._acc(x, g)", ["_acc"]),
+    ("from .tensor import Tensor, no_grad\nx._seq", []),
+])
+def test_the_private_engine_guard_sees_each_form(source, names):
+    assert _private_engine_names(ast.parse(source)) == names
+
+
+def test_no_src_module_reaches_into_private_engine_names():
+    """Only tensor.py uses its underscore names; the models use the public API."""
+    src = Path(setfusion.__file__).parent
+    reach_ins = {p.name: _private_engine_names(ast.parse(p.read_text()))
+                 for p in src.glob("*.py") if p.name != "tensor.py"}
+    assert {name: found for name, found in reach_ins.items() if found} == {}

@@ -415,12 +415,13 @@ class TestEvaluateSetsLabels:
             f"label {label} of 's000005' is not a class of a {num_classes}-class model"
         )
 
-    @pytest.mark.parametrize("num_classes, positive_class", [(2, 5), (2, -1), (3, 3)])
+    @pytest.mark.parametrize("num_classes, positive_class",
+                             [(2, 5), (2, -1), (3, 3), (2, True), (2, 1.0), (3, "1")])
     def test_positive_class_outside_the_model_rejected(self, num_classes, positive_class,
                                                        monkeypatch):
         message = self.evaluate(num_classes, 0, monkeypatch, positive_class=positive_class)
         assert message == (
-            f"positive_class {positive_class} is not a class of a {num_classes}-class model"
+            f"positive_class {positive_class!r} is not a class of a {num_classes}-class model"
         )
 
 
@@ -460,6 +461,28 @@ class TestPositiveClass:
     def test_negative_value_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
             small_cfg(**{field: -1})
+
+    INT_FIELDS = ["seed", "positive_class", "patience", "max_epochs_phase1", "max_epochs_phase2",
+                  "d_z", "d_l", "backbone_hidden", "decoder_hidden", "embed_dim", "hyper_hidden"]
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, 2.0, "1", None])
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_a_value_that_is_no_integer_rejected(self, field, value):
+        with pytest.raises(ValueError) as err:
+            small_cfg(**{field: value})
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_a_numpy_integer_accepted(self, field):
+        assert getattr(small_cfg(**{field: np.int64(2)}), field) == 2
+
+    @pytest.mark.parametrize("widths", [(True, 4), (4, 2.5), (8.0, 6), ("8", 6), (8, None),
+                                        (8,), (8, 6, 4), (0, 6), 8])
+    def test_rho_hidden_needs_two_positive_integer_widths(self, widths):
+        with pytest.raises(ValueError) as err:
+            small_cfg(rho_hidden=widths)
+        assert str(err.value) == (
+            f"rho_hidden must be exactly two positive integer widths, got {widths!r}")
 
     @pytest.fixture
     def no_training(self, monkeypatch):
@@ -516,6 +539,11 @@ class TestGraphSize:
         model = SetClassifier(self.cfg.d_l, 2, SeededRng(3), hidden=self.cfg.rho_hidden)
         latent = Tensor(SeededRng(4).normal(self.cfg.d_l))  # a pooled latent is a constant
         assert graph_nodes(softmax_cross_entropy(model.rho(latent), 1)) == 2
+
+    def test_trainable_phi_is_5_nodes(self):
+        # row, generator, 2 head segments, and φ itself: backbone and
+        # conditional layer are one dense stack
+        assert graph_nodes(self.enc.phi_forward(self.x, 1)) == 5
 
     def test_frozen_phi_is_1_node(self):
         self.enc.freeze()
