@@ -143,7 +143,7 @@ class Encoder:
         conditional layer once; freeze again after writing parameters."""
         for p in self.named_parameters().values():
             p.requires_grad = False
-        self._frozen_stacks = []
+        self._frozen_stacks = []  # empty, so _phi_layers generates each layer afresh
         with no_grad():
             self._frozen_stacks = [self._phi_layers(m) for m in range(self.cfg.num_modalities)]
         return self
