@@ -40,7 +40,6 @@ from .tensor import (
     mse,
     no_grad,
     reduce,
-    relu,
     row,
     segment,
     softmax,

@@ -4,9 +4,10 @@ Parsing is strict both ways: every expected key must be present and no
 unknown keys are tolerated, so a config file is always a complete,
 diffable record of a run.
 
-The training recipe itself has no keys: every Adam step takes one item,
-and the stage-1 loss adds an unweighted reconstruction term, whose
-target z is always detached, to the classification term.
+The training recipe itself has no keys: every Adam step takes one item
+with β1 = 0.9, β2 = 0.999 and ε = 1e-8 (`optim.BETA1`, `BETA2` and
+`EPSILON`), and the stage-1 loss adds an unweighted reconstruction term,
+whose target z is always detached, to the classification term.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ _LAYOUT: dict[str, dict[str, tuple[str, object]]] = {
         "lr": ("lr", float),
         "patience": ("patience", int),
         "two_steps": ("two_steps", _parse_bool),
-        "beta1": ("beta1", float),
-        "beta2": ("beta2", float),
-        "epsilon": ("epsilon", float),
     },
 }
 

@@ -105,6 +105,8 @@ class Encoder:
         payload i alone; a stack records nothing, so with gradient on a
         trainable encoder or a payload that takes gradient raises `ContractError`."""
         if isinstance(x, list):
+            if not x:
+                raise ShapeError("encoder expects at least one payload, got an empty list")
             xs = [p.data if isinstance(p, Tensor) else p for p in x]
             for p in xs:
                 if np.shape(p) != (self.cfg.input_width,):

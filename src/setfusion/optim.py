@@ -19,6 +19,10 @@ first optimizer's steps no longer reach those tensors.
 `release_gradients` hands the views back once training is over, so the
 gradient buffer is freed with the optimizer instead of living as long
 as the parameters do.
+
+β1, β2 and ε are the module constants `BETA1`, `BETA2` and `EPSILON`:
+0.9, 0.999 and 1e-8, the values of Kingma & Ba 2015 that every run of
+this package uses. Only the learning rate is a parameter.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
     """Adam with the standard bias correction; clears grads after each step.
@@ -38,14 +46,7 @@ class Adam:
     optimizer over frozen tensors is a usage error, not a no-op.
     """
 
-    def __init__(
-        self,
-        named_params: dict[str, Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, named_params: dict[str, Tensor], lr: float = 1e-4):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         frozen = [name for name, p in named_params.items() if not p.requires_grad]
@@ -53,9 +54,6 @@ class Adam:
             raise ContractError(f"optimizer over frozen parameters: {', '.join(sorted(frozen))}")
         self.named_params = dict(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         params = self.params
         self.flat = np.empty(sum(p.data.size for p in params))
@@ -88,22 +86,22 @@ class Adam:
             if p.grad is not view:  # backward wrote it in place otherwise
                 view[...] = p.grad
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         # lr (m / bc1) / (sqrt(v / bc2) + eps) rewritten with scalar
         # prefactors so each element costs one sqrt and one divide
         step_size = self.lr * math.sqrt(bc2) / bc1
-        denom_eps = self.epsilon * math.sqrt(bc2)
+        denom_eps = EPSILON * math.sqrt(bc2)
         g, m, v, s = self._grad, self._m, self._v, self._scratch
         # per element, in this order: m = b1*m + (1-b1)*g;
         # v = b2*v + (1-b2)*(g*g); p -= step_size * (m / (sqrt(v) + denom_eps)).
         # Reordering these operations changes results in the last bits.
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(g, 1.0 - self.beta1, out=s)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(g, 1.0 - BETA1, out=s)
         np.add(m, s, out=m)
-        np.multiply(v, self.beta2, out=v)
+        np.multiply(v, BETA2, out=v)
         np.multiply(g, g, out=s)
-        np.multiply(s, 1.0 - self.beta2, out=s)
+        np.multiply(s, 1.0 - BETA2, out=s)
         np.add(v, s, out=v)
         np.sqrt(v, out=s)
         np.add(s, denom_eps, out=s)

@@ -9,9 +9,9 @@ forward pass, visiting each recorded node exactly once.
 Node overhead, not arithmetic, bounds a one-item step, so a stack of
 dense layers with relu between them is one node (`dense_stack`), and
 `linear` is its one-layer case. Results are bitwise those of a chain of
-`linear` and `relu` nodes. Its input is 1d, or, in a call that
-records nothing, a (k, n) stack, so a network encodes a whole bag or
-pass of sets in one no-grad call. One loop over the layers serves both
+`linear` nodes and elementwise relu nodes (a reference the tests keep).
+Its input is 1d, or, in a call that records nothing, a (k, n) stack, so
+a network encodes a whole bag or pass of sets in one no-grad call. One loop over the layers serves both
 forms, differing only in how it writes the matrix-vector product, so
 each row of a stack's output is bitwise that row's alone. Whether a
 call records is decided before the loop; only a recording call keeps
@@ -183,15 +183,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), bwd, "add")
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # derivative at exactly 0 is 0
-
-    def bwd(g):
-        _acc(a, g * mask)
-
-    return _make(np.maximum(a.data, 0.0), (a,), bwd, "relu")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -211,7 +202,7 @@ def dense_stack(x: Tensor, layers, final_relu: bool = False) -> Tensor:
     before any arithmetic. One loop over the layers serves both forms;
     row i of a stack's output is bitwise the output for row i alone.
 
-    Bitwise equal to a chain of one-layer stacks and `relu` nodes: each
+    Bitwise equal to a chain of one-layer stacks and relu nodes: each
     layer's pre-activation is probed (a -inf the relu would clamp still
     raises), and backward runs the layers from the last to the first.
     """

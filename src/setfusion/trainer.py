@@ -18,7 +18,6 @@ split in one stacked ρ pass.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -54,9 +53,6 @@ class TrainConfig:
     aggregator: str = "mean"
     seed: int = 0
     two_steps: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     split_ratios: tuple[float, float, float] = (0.6, 0.1, 0.3)
     positive_class: int = 1
     d_z: int = 32
@@ -68,12 +64,12 @@ class TrainConfig:
     rho_hidden: tuple[int, int] = (32, 16)
 
     def __post_init__(self):
-        for name, value in (("lr", self.lr), ("epsilon", self.epsilon)):
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float, np.integer, np.floating)):
+            raise ValueError(f"lr must be a real number, got {self.lr!r}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not isinstance(self.two_steps, bool):
+            raise ValueError(f"two_steps must be a bool, got {self.two_steps!r}")
         check_split_ratios(self.split_ratios)
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
@@ -128,7 +124,6 @@ class TrainReport:
     checksum_after_phase2: str
     metrics: MetricSet
     config: TrainConfig
-    wall_time_s: float = 0.0  # informational only; never serialized
 
     def to_dict(self) -> dict:
         # deterministic content only: reruns must produce identical bytes
@@ -185,14 +180,19 @@ def collect_phase1_items(
     return items
 
 
-def _require_labels(phase_name: str, train_sets: list[SetObservation],
-                    val_sets: list[SetObservation]) -> None:
-    """Reject an unlabeled set before any step, naming the sample and its stream."""
-    for stream, sets in (("training", train_sets), ("validation", val_sets)):
+def _check_labels(num_classes: int, streams: dict[str, list[SetObservation]],
+                  prefix: str = "") -> None:
+    """Reject a set whose label is missing or no class of a `num_classes`-class
+    model, before any step or prediction. `streams` maps where a message
+    says each list is used ("in the training stream") to the list."""
+    for where, sets in streams.items():
         for obs in sets:
             if obs.label is None:
+                raise ContractError(f"{prefix}unlabeled observation '{obs.sample_id}' {where}")
+            if obs.label not in range(num_classes):
                 raise ContractError(
-                    f"{phase_name}: unlabeled observation '{obs.sample_id}' in the {stream} stream"
+                    f"{prefix}label {obs.label!r} of '{obs.sample_id}' is not a class of a "
+                    f"{num_classes}-class model"
                 )
 
 
@@ -211,7 +211,7 @@ def train_loop(
         raise ValueError(f"{phase_name}: empty training stream")
     if not val_items:
         raise ValueError(f"{phase_name}: empty validation stream")
-    opt = Adam(named_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon)
+    opt = Adam(named_params, lr=cfg.lr)
     stopper = EarlyStopper(cfg.patience)
     report = PhaseReport()
     best = opt.flat.copy()
@@ -280,7 +280,8 @@ def train_phase2(
     """
     if not enc.frozen:
         raise ContractError("phase 2 requires a frozen encoder; call enc.freeze() first")
-    _require_labels("phase2", train_sets, val_sets)
+    _check_labels(model.num_classes, {"in the training stream": train_sets,
+                                      "in the validation stream": val_sets}, "phase2: ")
 
     def encode(sets):
         return list(zip(pool_sets(enc, sets, model.aggregator), [obs.label for obs in sets]))
@@ -309,7 +310,8 @@ def train_joint(
     """
     if enc.frozen:
         raise ContractError("joint training needs a trainable encoder")
-    _require_labels("joint", train_sets, val_sets)
+    _check_labels(model.num_classes, {"in the training stream": train_sets,
+                                      "in the validation stream": val_sets}, "joint: ")
     params = parameters(enc.backbone, enc.hypernet, model)
 
     def item_loss(obs):
@@ -340,14 +342,7 @@ def evaluate_sets(
         raise ContractError(
             f"positive_class {positive_class!r} is not a class of a {num_classes}-class model"
         )
-    for obs in test_sets:  # every label, before any prediction
-        if obs.label is None:
-            raise ContractError(f"unlabeled observation '{obs.sample_id}' in evaluation")
-        if obs.label not in range(num_classes):
-            raise ContractError(
-                f"label {obs.label!r} of '{obs.sample_id}' is not a class of a "
-                f"{num_classes}-class model"
-            )
+    _check_labels(num_classes, {"in evaluation": test_sets})
     with no_grad():
         logits = model.rho(stack(pool_sets(enc, test_sets, model.aggregator)))
     probs = softmax(logits.data)
@@ -372,7 +367,6 @@ def run_full(
     are taken, so its test metrics and later predictions run the frozen
     path.
     """
-    started = time.perf_counter()
     cfg.check_schema(schema)
     train, val, test = split(samples, cfg.split_ratios, seed=(cfg.seed, "split"))
     if not train or not val or not test:
@@ -411,7 +405,6 @@ def run_full(
         checksum_before_phase2=checksum_before,
         checksum_after_phase2=checksum_after,
         metrics=metrics, config=cfg,
-        wall_time_s=time.perf_counter() - started,
     )
     if cfg.two_steps and checksum_before != checksum_after:
         raise ContractError("encoder parameters drifted during stage 2")

@@ -376,6 +376,13 @@ class TestPayloadForms:
             enc.phi_forward([np.ones(6), Tensor(bad)], 1)
         assert str(err.value) == f"encoder expects payload width 6, got shape {np.shape(bad)}"
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_an_empty_list_is_rejected(self, frozen):
+        enc = make_encoder(seed=28).freeze() if frozen else make_encoder(seed=28)
+        with pytest.raises(ShapeError) as err, no_grad():
+            enc.phi_forward([], 1)
+        assert str(err.value) == "encoder expects at least one payload, got an empty list"
+
 
 class TestFreezeContract:
     def test_checksum_unchanged_by_training_steps_of_other_params(self):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from setfusion.encoder import Encoder, EncoderConfig, phase1_loss
 from setfusion.errors import ContractError
-from setfusion.optim import Adam
+from setfusion.optim import BETA1, BETA2, EPSILON, Adam
 from setfusion.rng import SeededRng
 from setfusion.tensor import Tensor, add, linear, mse, reduce
 
@@ -40,10 +40,10 @@ class TestAdamStep:
         # m_hat = g, v_hat = g^2 after bias correction, so the first
         # update is exactly lr * g / (|g| + eps)
         w = make_param([1.0])
-        opt = Adam({"w": w}, lr=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        opt = Adam({"w": w}, lr=0.1)
         w.grad = np.array([1.0])
         opt.step()
-        expected = 1.0 - 0.1 * 1.0 / (1.0 + 1e-8)
+        expected = 1.0 - 0.1 * 1.0 / (1.0 + EPSILON)
         assert w.data[0] == pytest.approx(expected, abs=1e-15)
         assert w.data[0] == pytest.approx(0.9, abs=1e-8)
 
@@ -74,21 +74,21 @@ class TestAdamStep:
             Adam({"w": make_param([1.0])}, lr=0.0)
 
 
-def reference_adam(values, grad_steps, lr, beta1, beta2, epsilon):
+def reference_adam(values, grad_steps, lr):
     """The per-tensor Adam loop the flat update must reproduce bitwise."""
     values = {k: v.copy() for k, v in values.items()}
     m = {k: np.zeros_like(v) for k, v in values.items()}
     v_ = {k: np.zeros_like(v) for k, v in values.items()}
     for t, grads in enumerate(grad_steps, start=1):
-        bc1 = 1.0 - beta1 ** t
-        bc2 = 1.0 - beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         step_size = lr * math.sqrt(bc2) / bc1
-        denom_eps = epsilon * math.sqrt(bc2)
+        denom_eps = EPSILON * math.sqrt(bc2)
         for k, g in grads.items():
-            m[k] *= beta1
-            m[k] += (1.0 - beta1) * g
-            v_[k] *= beta2
-            v_[k] += (1.0 - beta2) * (g * g)
+            m[k] *= BETA1
+            m[k] += (1.0 - BETA1) * g
+            v_[k] *= BETA2
+            v_[k] += (1.0 - BETA2) * (g * g)
             denom = np.sqrt(v_[k])
             denom += denom_eps
             values[k] -= step_size * (m[k] / denom)
@@ -116,7 +116,7 @@ class TestFlatStorage:
             for k, g in grads.items():
                 params[k].grad = g.copy()
             opt.step()
-        expected = reference_adam(values, grad_steps, lr, 0.9, 0.999, 1e-8)
+        expected = reference_adam(values, grad_steps, lr)
         for k, p in params.items():
             assert p.data.tobytes() == expected[k].tobytes()
 
@@ -208,7 +208,7 @@ class TestGradientsInTheBuffer:
         opt = Adam({"w": w, "b": b}, lr=1e-2)
         grad_steps = []
         for _ in range(5):
-            current = reference_adam(values, grad_steps, 1e-2, 0.9, 0.999, 1e-8)
+            current = reference_adam(values, grad_steps, 1e-2)
             # the allocating engine: every contribution a fresh array,
             # summed with `+` in reverse creation order
             contrib = []
@@ -227,7 +227,7 @@ class TestGradientsInTheBuffer:
             assert w.grad.tobytes() == grad_steps[-1]["w"].tobytes()
             assert b.grad.tobytes() == grad_steps[-1]["b"].tobytes()
             opt.step()
-        expected = reference_adam(values, grad_steps, 1e-2, 0.9, 0.999, 1e-8)
+        expected = reference_adam(values, grad_steps, 1e-2)
         assert w.data.tobytes() == expected["w"].tobytes()
         assert b.data.tobytes() == expected["b"].tobytes()
 
@@ -249,7 +249,7 @@ class TestGradientsInTheBuffer:
         b.grad = np.array([-4.0])  # b's is assigned by hand
         opt.step()
         expected = reference_adam({"a": np.array([1.0, 2.0]), "b": np.array([3.0])},
-                                  [{"a": np.ones(2), "b": np.array([-4.0])}], 0.1, 0.9, 0.999, 1e-8)
+                                  [{"a": np.ones(2), "b": np.array([-4.0])}], 0.1)
         assert a.data.tobytes() == expected["a"].tobytes()
         assert b.data.tobytes() == expected["b"].tobytes()
 

@@ -21,7 +21,6 @@ from setfusion.tensor import (
     mse,
     no_grad,
     reduce,
-    relu,
     row,
     segment,
     softmax,
@@ -30,6 +29,7 @@ from setfusion.tensor import (
 )
 
 from conftest import central_difference, chained, check_gradient, rel_err
+from reference_ops import relu
 
 
 class TestElementwise:
@@ -579,10 +579,6 @@ def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
     return names, {n.attr for n in nodes if isinstance(n, ast.Attribute)}
 
 
-# engine functions no src module runs, and why each one stays
-UNCALLED_ALLOWED = {"relu": "the linear/relu reference chain of the dense_stack tests"}
-
-
 def test_every_public_engine_function_is_reached_from_src():
     """Engine code no model runs is dead weight. A tensor.py function is
     reached when another src module names it, or when a reached function
@@ -604,7 +600,7 @@ def test_every_public_engine_function_is_reached_from_src():
                 pending.append(_references(node))
     unreached = {name for name, node in functions.items()
                  if node not in reached and not name.startswith("_")}
-    assert sorted(unreached - UNCALLED_ALLOWED.keys()) == []
+    assert sorted(unreached) == []
 
 
 def _private_engine_names(tree: ast.AST) -> list[str]:

@@ -313,6 +313,36 @@ class TestJointLabels:
         assert checksum() == before
 
 
+class TestTrainingLabels:
+    """Both set phases reject a label that is no class of the model, before any step."""
+
+    @pytest.mark.parametrize("label", [1.5, 2])
+    @pytest.mark.parametrize("stream", ["training", "validation"])
+    @pytest.mark.parametrize("phase", ["phase2", "joint"])
+    def test_a_label_outside_the_model_rejected(self, phase, stream, label, monkeypatch):
+        from setfusion.optim import Adam
+
+        schema, masked = tiny_dataset(n=30, seed=19)
+        cfg = small_cfg(seed=19, max_epochs_phase2=2)
+        enc = Encoder(cfg.encoder_config(schema), SeededRng(19))
+        model = SetClassifier(cfg.d_l, 2, SeededRng(20), hidden=cfg.rho_hidden)
+        sets = [to_set(s, schema) for s in masked]
+        train_sets, val_sets = sets[:20], sets[20:]
+        bad = SetObservation(sets[0].elements, label=label, sample_id="badlabel")
+        if stream == "training":
+            train_sets = train_sets + [bad]
+        else:
+            val_sets = val_sets + [bad]
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda opt: steps.append(opt))
+        train = train_phase2 if phase == "phase2" else train_joint
+        with pytest.raises(ContractError) as err:
+            train(model, enc.freeze() if phase == "phase2" else enc, train_sets, val_sets, cfg)
+        assert str(err.value) == (
+            f"{phase}: label {label!r} of 'badlabel' is not a class of a 2-class model")
+        assert steps == []
+
+
 class TestRunFull:
     def test_checksums_equal_and_metrics_present(self):
         schema, masked = tiny_dataset(n=60, seed=10)
@@ -483,6 +513,22 @@ class TestPositiveClass:
             small_cfg(rho_hidden=widths)
         assert str(err.value) == (
             f"rho_hidden must be exactly two positive integer widths, got {widths!r}")
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_two_steps_must_be_a_bool(self, value):
+        with pytest.raises(ValueError) as err:
+            small_cfg(two_steps=value)
+        assert str(err.value) == f"two_steps must be a bool, got {value!r}"
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1e-3", None, 1j])
+    def test_lr_must_be_a_real_number(self, value):
+        with pytest.raises(ValueError) as err:
+            small_cfg(lr=value)
+        assert str(err.value) == f"lr must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(1e-3)])
+    def test_lr_takes_any_real_number(self, value):
+        assert small_cfg(lr=value).lr == value
 
     @pytest.fixture
     def no_training(self, monkeypatch):
