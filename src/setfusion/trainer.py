@@ -189,7 +189,7 @@ def _check_labels(num_classes: int, streams: dict[str, list[SetObservation]],
         for obs in sets:
             if obs.label is None:
                 raise ContractError(f"{prefix}unlabeled observation '{obs.sample_id}' {where}")
-            if obs.label not in range(num_classes):
+            if not (_is_int(obs.label) and 0 <= obs.label < num_classes):
                 raise ContractError(
                     f"{prefix}label {obs.label!r} of '{obs.sample_id}' is not a class of a "
                     f"{num_classes}-class model"

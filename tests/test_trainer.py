@@ -316,7 +316,7 @@ class TestJointLabels:
 class TestTrainingLabels:
     """Both set phases reject a label that is no class of the model, before any step."""
 
-    @pytest.mark.parametrize("label", [1.5, 2])
+    @pytest.mark.parametrize("label", [1.5, 2, 1.0, True])
     @pytest.mark.parametrize("stream", ["training", "validation"])
     @pytest.mark.parametrize("phase", ["phase2", "joint"])
     def test_a_label_outside_the_model_rejected(self, phase, stream, label, monkeypatch):
@@ -438,7 +438,7 @@ class TestEvaluateSetsLabels:
         message = self.evaluate(num_classes, None, monkeypatch)
         assert message == "unlabeled observation 's000005' in evaluation"
 
-    @pytest.mark.parametrize("num_classes, label", [(2, 7), (2, -1), (3, 3)])
+    @pytest.mark.parametrize("num_classes, label", [(2, 7), (2, -1), (3, 3), (2, 1.0), (2, True)])
     def test_label_outside_the_model_rejected(self, num_classes, label, monkeypatch):
         message = self.evaluate(num_classes, label, monkeypatch)
         assert message == (
