@@ -170,7 +170,6 @@ def run_baseline(
     """Train one baseline and evaluate it on the test split."""
     if schema.num_classes != 2:
         raise ValueError("baselines report binary metrics; need a two-class schema")
-    cfg.check_schema(schema)
     pos = cfg.positive_class
 
     if kind.name == "unimodal":

@@ -7,7 +7,10 @@ diffable record of a run.
 The training recipe itself has no keys: every Adam step takes one item
 with β1 = 0.9, β2 = 0.999 and ε = 1e-8 (`optim.BETA1`, `BETA2` and
 `EPSILON`), and the stage-1 loss adds an unweighted reconstruction term,
-whose target z is always detached, to the classification term.
+whose target z is always detached, to the classification term. Nor has
+the data: every run splits its samples 0.6/0.1/0.3 into train,
+validation and test (`TrainConfig.split_ratios`) and scores class 1 as
+the positive class (`TrainConfig.positive_class`).
 """
 
 from __future__ import annotations
@@ -49,12 +52,6 @@ _LAYOUT: dict[str, dict[str, tuple[str, object]]] = {
     "phase2": {
         "max_epochs": ("max_epochs_phase2", int),
     },
-    "data": {
-        "split_train": (None, float),
-        "split_val": (None, float),
-        "split_test": (None, float),
-        "positive_class": ("positive_class", int),
-    },
     "run": {
         "seed": ("seed", int),
         "lr": ("lr", float),
@@ -72,7 +69,6 @@ def parse_config(text: str) -> TrainConfig:
         raise ConfigError(f"config is not valid key = value text: {exc}") from exc
 
     values: dict[str, object] = {}
-    splits: dict[str, float] = {}
     for section, keys in _LAYOUT.items():
         if not parser.has_section(section):
             raise ConfigError(f"missing config section [{section}]")
@@ -80,15 +76,10 @@ def parse_config(text: str) -> TrainConfig:
         for key, (attr, convert) in keys.items():
             if key not in present:
                 raise ConfigError(f"missing config key '{key}' in section [{section}]")
-            raw = parser.get(section, key)
             try:
-                value = convert(raw)
+                values[attr] = convert(parser.get(section, key))
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
-            if attr is None:
-                splits[key] = value
-            else:
-                values[attr] = value
         unknown = present - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys in [{section}]: {sorted(unknown)}")
@@ -96,7 +87,6 @@ def parse_config(text: str) -> TrainConfig:
     if unknown_sections:
         raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
 
-    values["split_ratios"] = (splits["split_train"], splits["split_val"], splits["split_test"])
     try:
         return TrainConfig(**values)
     except ValueError as exc:
@@ -106,15 +96,10 @@ def parse_config(text: str) -> TrainConfig:
 def dump_config(cfg: TrainConfig) -> str:
     """Render a TrainConfig as config text; inverse of parse_config."""
     lines = []
-    split_values = {
-        "split_train": cfg.split_ratios[0],
-        "split_val": cfg.split_ratios[1],
-        "split_test": cfg.split_ratios[2],
-    }
     for section, keys in _LAYOUT.items():
         lines.append(f"[{section}]")
         for key, (attr, _) in keys.items():
-            value = split_values[key] if attr is None else getattr(cfg, attr)
+            value = getattr(cfg, attr)
             if isinstance(value, bool):
                 text = "true" if value else "false"
             elif isinstance(value, tuple):

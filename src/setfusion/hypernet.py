@@ -12,17 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShapeError
 from .nn import Dense, parameters
 from .rng import SeededRng, glorot_uniform
-from .tensor import Tensor, dense_stack, linear, row, segment
+from .tensor import Tensor, dense_stack, is_int, linear, row, segment
 
 
 def _as_index(value) -> int:
     """An int or numpy integer (not a bool) as a plain int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_int(value):
         raise ValueError(f"modality index must be an integer, got {value!r}")
     return int(value)
 
@@ -50,7 +48,6 @@ class HyperNetwork:
         rng: SeededRng,
         embed_dim: int = 8,
         hidden: int = 32,
-        name: str = "hypernet",
     ):
         if num_modalities < 1:
             raise ValueError(f"need at least one modality, got {num_modalities}")
@@ -60,10 +57,10 @@ class HyperNetwork:
         self.embedding = Tensor(
             glorot_uniform(rng, embed_dim, embed_dim, (num_modalities, embed_dim)),
             requires_grad=True,
-            name=f"{name}/embedding",
+            name="hypernet/embedding",
         )
-        self.trunk = Dense(embed_dim, hidden, rng, f"{name}/trunk")
-        self.head = Dense(hidden, d_l * d_z + d_l, rng, f"{name}/head")
+        self.trunk = Dense(embed_dim, hidden, rng, "hypernet/trunk")
+        self.head = Dense(hidden, d_l * d_z + d_l, rng, "hypernet/head")
 
     def index(self, m) -> int:
         """The dense index of a ModalityId or a plain integer, checked

@@ -39,6 +39,14 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
+def check_lr(lr) -> None:
+    """Reject a learning rate that is a bool, no real number, or not finite and positive."""
+    if isinstance(lr, bool) or not isinstance(lr, (int, float, np.integer, np.floating)):
+        raise ValueError(f"lr must be a real number, got {lr!r}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+
+
 class Adam:
     """Adam with the standard bias correction; clears grads after each step.
 
@@ -47,8 +55,7 @@ class Adam:
     """
 
     def __init__(self, named_params: dict[str, Tensor], lr: float = 1e-4):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        check_lr(lr)
         frozen = [name for name, p in named_params.items() if not p.requires_grad]
         if frozen:
             raise ContractError(f"optimizer over frozen parameters: {', '.join(sorted(frozen))}")

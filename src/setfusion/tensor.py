@@ -168,6 +168,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def is_int(value) -> bool:
+    """An int or numpy integer, not a bool: what a class or index must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # elementwise ops
 
@@ -358,9 +363,9 @@ def softmax_cross_entropy(logits: Tensor, target_class: int) -> Tensor:
     if logits.data.ndim != 1:
         raise ShapeError(f"softmax_cross_entropy: expected 1d logits, got {logits.shape}")
     c = logits.shape[0]
-    if not 0 <= int(target_class) < c:
-        raise ValueError(f"softmax_cross_entropy: class {target_class} out of range [0, {c})")
-    target_class = int(target_class)
+    if not (is_int(target_class) and 0 <= target_class < c):
+        raise ValueError(f"softmax_cross_entropy: class {target_class!r} is not an integer "
+                         f"in [0, {c})")
     z = logits.data
     m = np.maximum.reduce(z)
     exps = np.exp(z - m)

@@ -19,33 +19,33 @@ split in one stacked ρ pass.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .data import DatasetSchema, MaskedSample, check_split_ratios, split, to_set
+from .data import DatasetSchema, MaskedSample, split, to_set
 from .encoder import Encoder, EncoderConfig, parameter_checksum, phase1_loss
 from .errors import ContractError, NumericError
 from .metrics import MetricSet, accuracy_only, compute_metrics
 from .nn import AGGREGATOR_KINDS, parameters
-from .optim import Adam
+from .optim import Adam, check_lr
 from .rng import SeededRng
 from .setnet import SetClassifier, SetObservation, phase2_loss, pool_sets
-from .tensor import Tensor, no_grad, softmax, softmax_cross_entropy, stack
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
+from .tensor import Tensor, is_int, no_grad, softmax, softmax_cross_entropy, stack
 
 # TrainConfig integer field -> its least value
-_INT_FIELDS = {"seed": 0, "positive_class": 0, "patience": 1, "max_epochs_phase1": 1,
-               "max_epochs_phase2": 1, "d_z": 1, "d_l": 1, "backbone_hidden": 1,
-               "decoder_hidden": 1, "embed_dim": 1, "hyper_hidden": 1}
+_INT_FIELDS = {"seed": 0, "patience": 1, "max_epochs_phase1": 1, "max_epochs_phase2": 1,
+               "d_z": 1, "d_l": 1, "backbone_hidden": 1, "decoder_hidden": 1,
+               "embed_dim": 1, "hyper_hidden": 1}
 
 
 @dataclass
 class TrainConfig:
+    # constants, not fields: every run splits (train, val, test) 0.6/0.1/0.3
+    # and scores class 1 as the positive class
+    split_ratios: ClassVar[tuple[float, float, float]] = (0.6, 0.1, 0.3)
+    positive_class: ClassVar[int] = 1
+
     lr: float = 1e-4
     max_epochs_phase1: int = 100
     max_epochs_phase2: int = 100
@@ -53,8 +53,6 @@ class TrainConfig:
     aggregator: str = "mean"
     seed: int = 0
     two_steps: bool = True
-    split_ratios: tuple[float, float, float] = (0.6, 0.1, 0.3)
-    positive_class: int = 1
     d_z: int = 32
     d_l: int = 16
     backbone_hidden: int = 64
@@ -64,33 +62,21 @@ class TrainConfig:
     rho_hidden: tuple[int, int] = (32, 16)
 
     def __post_init__(self):
-        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float, np.integer, np.floating)):
-            raise ValueError(f"lr must be a real number, got {self.lr!r}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        check_lr(self.lr)
         if not isinstance(self.two_steps, bool):
             raise ValueError(f"two_steps must be a bool, got {self.two_steps!r}")
-        check_split_ratios(self.split_ratios)
         if self.aggregator not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}")
         for name, low in _INT_FIELDS.items():
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         widths = self.rho_hidden
         if not (isinstance(widths, (tuple, list)) and len(widths) == 2
-                and all(_is_int(w) and w >= 1 for w in widths)):
+                and all(is_int(w) and w >= 1 for w in widths)):
             raise ValueError(f"rho_hidden must be exactly two positive integer widths, got {widths!r}")
-
-    def check_schema(self, schema: DatasetSchema) -> None:
-        """Reject values that do not fit the dataset, before any training."""
-        if self.positive_class >= schema.num_classes:
-            raise ValueError(
-                f"positive_class {self.positive_class} is not a class of a "
-                f"{schema.num_classes}-class schema"
-            )
 
     def encoder_config(self, schema: DatasetSchema) -> EncoderConfig:
         return EncoderConfig(
@@ -189,7 +175,7 @@ def _check_labels(num_classes: int, streams: dict[str, list[SetObservation]],
         for obs in sets:
             if obs.label is None:
                 raise ContractError(f"{prefix}unlabeled observation '{obs.sample_id}' {where}")
-            if not (_is_int(obs.label) and 0 <= obs.label < num_classes):
+            if not (is_int(obs.label) and 0 <= obs.label < num_classes):
                 raise ContractError(
                     f"{prefix}label {obs.label!r} of '{obs.sample_id}' is not a class of a "
                     f"{num_classes}-class model"
@@ -338,7 +324,7 @@ def evaluate_sets(
     if not test_sets:
         raise ValueError("evaluate_sets: empty test set")
     num_classes = model.num_classes
-    if not (_is_int(positive_class) and 0 <= positive_class < num_classes):
+    if not (is_int(positive_class) and 0 <= positive_class < num_classes):
         raise ContractError(
             f"positive_class {positive_class!r} is not a class of a {num_classes}-class model"
         )
@@ -367,7 +353,6 @@ def run_full(
     are taken, so its test metrics and later predictions run the frozen
     path.
     """
-    cfg.check_schema(schema)
     train, val, test = split(samples, cfg.split_ratios, seed=(cfg.seed, "split"))
     if not train or not val or not test:
         raise ValueError(f"split of {len(samples)} samples left an empty part")

@@ -1,8 +1,10 @@
+import dataclasses
 import re
 
 import pytest
 
 from setfusion.config import (
+    _LAYOUT,
     default_config,
     default_config_text,
     dump_config,
@@ -63,18 +65,11 @@ def test_zero_model_width_rejected(key):
 @pytest.mark.parametrize("section, key, value", [
     ("run", "lr", "nan"), ("run", "lr", "inf"), ("run", "lr", "0"), ("run", "lr", "true"),
     ("run", "two_steps", "no"), ("model", "aggregator", "median"),
-    ("run", "seed", "-1"), ("data", "positive_class", "-1"),
+    ("run", "seed", "-1"),
 ])
 def test_invalid_training_values_rejected(section, key, value):
     with pytest.raises(ConfigError, match=key):
         parse_config(with_value(section, key, value))
-
-
-@pytest.mark.parametrize("key, value", [("split_train", "nan"), ("split_val", "inf"),
-                                        ("split_test", "0"), ("split_train", "0.7")])
-def test_invalid_split_ratios_rejected(key, value):
-    with pytest.raises(ConfigError, match="split ratios"):
-        parse_config(with_value("data", key, value))
 
 
 def test_default_file_matches_the_dataclass_defaults():
@@ -90,3 +85,40 @@ def test_removed_training_knobs_rejected(section, key, value):
     text = default_config_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=re.escape(f"unknown config keys in [{section}]: ['{key}']")):
         parse_config(text)
+
+
+def test_removed_data_section_rejected():
+    text = default_config_text() + "\n[data]\nsplit_train = 0.6\npositive_class = 1\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == "unknown config sections: ['data']"
+
+
+def test_split_ratios_and_positive_class_are_constants_not_fields():
+    cfg = TrainConfig()
+    assert cfg.split_ratios == (0.6, 0.1, 0.3)
+    assert cfg.positive_class == 1
+    names = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert not names & {"split_ratios", "positive_class"}
+
+
+# a value other than the default for every TrainConfig field
+NON_DEFAULT = {
+    "lr": 0.003, "max_epochs_phase1": 7, "max_epochs_phase2": 9, "patience": 3,
+    "aggregator": "max", "seed": 11, "two_steps": False, "d_z": 5, "d_l": 4,
+    "backbone_hidden": 6, "decoder_hidden": 7, "embed_dim": 3, "hyper_hidden": 9,
+    "rho_hidden": (5, 2),
+}
+
+
+def test_every_field_is_set_by_exactly_one_config_key():
+    attrs = [attr for keys in _LAYOUT.values() for attr, _ in keys.values()]
+    assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+    assert sorted(NON_DEFAULT) == sorted(attrs)
+
+
+@pytest.mark.parametrize("field", sorted(NON_DEFAULT))
+def test_a_non_default_value_of_each_field_round_trips(field):
+    cfg = dataclasses.replace(TrainConfig(), **{field: NON_DEFAULT[field]})
+    assert getattr(cfg, field) != getattr(TrainConfig(), field)
+    assert parse_config(dump_config(cfg)) == cfg

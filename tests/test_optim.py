@@ -73,6 +73,18 @@ class TestAdamStep:
         with pytest.raises(ValueError):
             Adam({"w": make_param([1.0])}, lr=0.0)
 
+    @pytest.mark.parametrize("lr, message", [
+        (float("nan"), "lr must be finite and positive, got nan"),
+        (float("inf"), "lr must be finite and positive, got inf"),
+        (True, "lr must be a real number, got True"),
+        (0, "lr must be finite and positive, got 0"),
+        (-1, "lr must be finite and positive, got -1"),
+    ], ids=["nan", "inf", "True", "0", "-1"])
+    def test_an_lr_that_is_no_finite_positive_number_rejected(self, lr, message):
+        with pytest.raises(ValueError) as err:
+            Adam({"w": make_param([1.0])}, lr=lr)
+        assert str(err.value) == message
+
 
 def reference_adam(values, grad_steps, lr):
     """The per-tensor Adam loop the flat update must reproduce bitwise."""

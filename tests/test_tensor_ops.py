@@ -111,6 +111,18 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(Tensor([0.0, 0.0]), 2)
 
+    @pytest.mark.parametrize("target", [1.5, 2.0, True])
+    def test_a_class_that_is_no_integer_rejected(self, target):
+        with pytest.raises(ValueError) as err:
+            softmax_cross_entropy(Tensor([0.0, 1.0, 2.0]), target)
+        assert str(err.value) == (
+            f"softmax_cross_entropy: class {target!r} is not an integer in [0, 3)")
+
+    def test_a_numpy_integer_class_accepted(self):
+        logits = Tensor([0.5, 1.0, 2.0])
+        assert (softmax_cross_entropy(logits, np.int64(2)).item()
+                == softmax_cross_entropy(logits, 2).item())
+
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient(self, seed):
         rng = SeededRng(seed)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from setfusion import baselines, trainer
+from setfusion import trainer
 from setfusion.data import DatasetSchema, apply_missingness, generate, split, to_set
 from setfusion.encoder import Encoder, parameter_checksum, phase1_loss
 from setfusion.errors import ContractError
@@ -487,12 +487,12 @@ class TestEvaluateSetsStacked:
 
 
 class TestPositiveClass:
-    @pytest.mark.parametrize("field", ["seed", "positive_class"])
+    @pytest.mark.parametrize("field", ["seed"])
     def test_negative_value_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
             small_cfg(**{field: -1})
 
-    INT_FIELDS = ["seed", "positive_class", "patience", "max_epochs_phase1", "max_epochs_phase2",
+    INT_FIELDS = ["seed", "patience", "max_epochs_phase1", "max_epochs_phase2",
                   "d_z", "d_l", "backbone_hidden", "decoder_hidden", "embed_dim", "hyper_hidden"]
 
     @pytest.mark.parametrize("value", [True, False, 1.5, 2.0, "1", None])
@@ -529,30 +529,6 @@ class TestPositiveClass:
     @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(1e-3)])
     def test_lr_takes_any_real_number(self, value):
         assert small_cfg(lr=value).lr == value
-
-    @pytest.fixture
-    def no_training(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(trainer, "train_loop", refuse)
-        monkeypatch.setattr(baselines, "train_loop", refuse)
-
-    @pytest.mark.parametrize("two_steps", [True, False])
-    def test_run_full_rejects_a_class_outside_the_schema(self, no_training, two_steps):
-        schema, masked = tiny_dataset(n=30, seed=13)
-        cfg = small_cfg(positive_class=2, two_steps=two_steps)
-        with pytest.raises(ValueError, match="positive_class 2 is not a class of a 2-class schema"):
-            run_full(cfg, schema, masked)
-
-    @pytest.mark.parametrize("kind", [baselines.BaselineKind("unimodal", k=0),
-                                      baselines.BaselineKind("zero_fill_multimodal"),
-                                      baselines.BaselineKind("late_fusion_average")])
-    def test_run_baseline_rejects_a_class_outside_the_schema(self, no_training, kind):
-        schema, masked = tiny_dataset(n=30, seed=14)
-        with pytest.raises(ValueError, match="positive_class 2 is not a class"):
-            baselines.run_baseline(kind, schema, masked[:10], masked[10:20], masked[20:],
-                                   small_cfg(positive_class=2))
 
 
 def graph_nodes(loss):
