@@ -9,7 +9,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     DatasetSchema,
     MaskedSample,
-    MultimodalSample,
     apply_missingness,
     generate,
     load_dataset,

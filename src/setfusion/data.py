@@ -80,20 +80,12 @@ class DatasetSchema:
 
 
 @dataclass
-class MultimodalSample:
-    """A complete d-modal observation: payload (or bag) per modality."""
-
-    payloads: list
-    label: int
-    sample_id: str
-
-
-@dataclass
 class MaskedSample:
     """A d-modal observation with explicit missing slots.
 
     `slots[i]` is None exactly when `mask[i] == 1`; observed slots keep
-    the original payload.
+    the original payload. `generate` returns complete ones (all-zero
+    masks) for `apply_missingness` to mask.
     """
 
     slots: list
@@ -135,8 +127,9 @@ def generate(
     class_sep: float = 10.0,
     noise_sigma=0.5,
     bag_size_range: tuple[int, int] = (2, 5),
-) -> list[MultimodalSample]:
-    """Class-balanced samples around per-(class, modality) centroids."""
+) -> list[MaskedSample]:
+    """Class-balanced complete samples (all-zero masks) around
+    per-(class, modality) centroids."""
     sigmas = check_generate_args(schema, n, class_sep, noise_sigma, bag_size_range)
     lo, hi = bag_size_range
 
@@ -161,7 +154,9 @@ def generate(
                 payloads.append([base + sigmas[i] * srng.normal(r) for _ in range(size)])
             else:
                 payloads.append(base)
-        samples.append(MultimodalSample(payloads=payloads, label=y, sample_id=f"s{idx:06d}"))
+        samples.append(MaskedSample(slots=payloads, label=y,
+                                    mask=np.zeros(schema.num_modalities, dtype=np.uint8),
+                                    sample_id=f"s{idx:06d}"))
     return samples
 
 
@@ -180,19 +175,21 @@ def check_missingness_args(rate: float, mechanism: str, k: int | None,
 
 
 def apply_missingness(
-    samples: list[MultimodalSample],
+    samples: list[MaskedSample],
     rate: float,
     mechanism: str = "mcar",
     seed=0,
     k: int | None = None,
 ) -> list[MaskedSample]:
-    """Mask modalities per sample; fully-missing draws are redrawn."""
-    check_missingness_args(rate, mechanism, k, len(samples[0].payloads) if samples else 0)
+    """Mask modalities of complete samples; fully-missing draws are redrawn."""
+    check_missingness_args(rate, mechanism, k, len(samples[0].slots) if samples else 0)
 
     root = SeededRng(seed)
     masked = []
     for idx, s in enumerate(samples):
-        d = len(s.payloads)
+        if s.mask.any():
+            raise ValueError(f"apply_missingness: sample '{s.sample_id}' already misses a modality")
+        d = len(s.slots)
         rng = root.child("mask", idx)
         while True:
             if mechanism == "mcar":
@@ -203,7 +200,7 @@ def apply_missingness(
                     v[k] = 1
             if not v.all():
                 break
-        slots = [None if v[i] else s.payloads[i] for i in range(d)]
+        slots = [None if v[i] else s.slots[i] for i in range(d)]
         masked.append(MaskedSample(slots=slots, label=s.label, mask=v, sample_id=s.sample_id))
     return masked
 

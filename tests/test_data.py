@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from setfusion.data import (
     DatasetSchema,
+    MaskedSample,
     apply_missingness,
     generate,
     load_dataset,
@@ -69,17 +70,17 @@ class TestGenerate:
         by_class = {}
         for s in samples:
             key = (s.label, 0)
-            ref = by_class.setdefault(key, s.payloads[0])
-            np.testing.assert_array_equal(s.payloads[0], ref)
+            ref = by_class.setdefault(key, s.slots[0])
+            np.testing.assert_array_equal(s.slots[0], ref)
 
     def test_same_seed_bitwise_identical(self):
         a = generate(schema2(bags=(1,)), n=12, seed=42, noise_sigma=0.5)
         b = generate(schema2(bags=(1,)), n=12, seed=42, noise_sigma=0.5)
         for sa, sb in zip(a, b):
             assert sa.label == sb.label and sa.sample_id == sb.sample_id
-            np.testing.assert_array_equal(sa.payloads[0], sb.payloads[0])
-            assert len(sa.payloads[1]) == len(sb.payloads[1])
-            for ia, ib in zip(sa.payloads[1], sb.payloads[1]):
+            np.testing.assert_array_equal(sa.slots[0], sb.slots[0])
+            assert len(sa.slots[1]) == len(sb.slots[1])
+            for ia, ib in zip(sa.slots[1], sb.slots[1]):
                 np.testing.assert_array_equal(ia, ib)
 
     def test_balanced_classes(self):
@@ -90,7 +91,7 @@ class TestGenerate:
     def test_nearest_centroid_oracle_learnability(self):
         # fit class means on concatenated payloads, classify by distance
         samples = generate(schema2(r=32), n=400, seed=2, class_sep=10.0, noise_sigma=0.5)
-        stacked = np.stack([np.concatenate(s.payloads) for s in samples])
+        stacked = np.stack([np.concatenate(s.slots) for s in samples])
         labels = np.array([s.label for s in samples])
         means = np.stack([stacked[labels == y].mean(axis=0) for y in (0, 1)])
         dists = np.stack([np.linalg.norm(stacked - means[y], axis=1) for y in (0, 1)])
@@ -99,15 +100,22 @@ class TestGenerate:
 
     def test_bag_sizes_within_range(self):
         samples = generate(schema2(bags=(0,)), n=30, seed=3, bag_size_range=(2, 5))
-        sizes = {len(s.payloads[0]) for s in samples}
+        sizes = {len(s.slots[0]) for s in samples}
         assert sizes <= {2, 3, 4, 5} and len(sizes) > 1
 
     def test_per_modality_noise_sigmas(self):
         samples = generate(schema2(), n=200, seed=4, class_sep=10.0, noise_sigma=[0.0, 2.0])
-        zero_noise = [s.payloads[0] for s in samples if s.label == 0]
+        zero_noise = [s.slots[0] for s in samples if s.label == 0]
         assert all(np.array_equal(p, zero_noise[0]) for p in zero_noise)
-        noisy = np.stack([s.payloads[1] for s in samples if s.label == 0])
+        noisy = np.stack([s.slots[1] for s in samples if s.label == 0])
         assert noisy.std(axis=0).mean() == pytest.approx(2.0, rel=0.15)
+
+    def test_samples_are_complete_masked_samples(self):
+        samples = generate(schema2(bags=(1,)), n=6, seed=5)
+        for s in samples:
+            assert isinstance(s, MaskedSample)
+            assert s.mask.dtype == np.uint8 and s.mask.tolist() == [0, 0]
+            assert s.q == 2 and all(slot is not None for slot in s.slots)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -136,7 +144,7 @@ class TestMissingness:
         masked = apply_missingness(samples, rate=0.0, mechanism="mcar", seed=0)
         for m, s in zip(masked, samples):
             assert m.mask.sum() == 0
-            for slot, payload in zip(m.slots, s.payloads):
+            for slot, payload in zip(m.slots, s.slots):
                 np.testing.assert_array_equal(slot, payload)
 
     def test_identity_between_mask_and_slots(self):
@@ -147,7 +155,7 @@ class TestMissingness:
                 if m.mask[i]:
                     assert m.slots[i] is None
                 else:
-                    np.testing.assert_array_equal(m.slots[i], s.payloads[i])
+                    np.testing.assert_array_equal(m.slots[i], s.slots[i])
 
     def test_modality_k_only_frequency(self):
         samples = generate(schema2(r=2), n=10000, seed=8)
@@ -176,6 +184,14 @@ class TestMissingness:
         samples = generate(schema2(r=2), n=5000, seed=12)
         masked = apply_missingness(samples, rate=0.9, mechanism="mcar", seed=13)
         assert all(m.q >= 1 for m in masked)
+
+    def test_a_sample_that_already_misses_a_modality_rejected(self):
+        masked = apply_missingness(generate(schema2(), n=20, seed=14), rate=0.5, seed=1)
+        partial = next(m for m in masked if m.mask.any())
+        with pytest.raises(ValueError) as err:
+            apply_missingness(masked, rate=0.5, seed=2)
+        assert str(err.value) == (
+            f"apply_missingness: sample '{partial.sample_id}' already misses a modality")
 
     def test_invalid_rate(self):
         samples = generate(schema2(), n=4, seed=14)
