@@ -7,9 +7,9 @@ order-independent reduction, and a small dense network maps the
 aggregate to class logits. Set size never changes the output width.
 
 `pool_set` and `predict_proba` take one set. `pool_sets` pools a whole
-list of sets in one no-grad pass, over a frozen or a trainable encoder
-alike: one stacked φ call per plain modality instead of one per
-element, with results bitwise those of `pool_set`.
+list of sets in one no-grad pass, with results bitwise those of
+`pool_set`: one `pool_instances` call per modality, which over a frozen
+encoder is one stacked φ call instead of one per element.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ContractError
 from .hypernet import ModalityId
 from .nn import AGGREGATOR_KINDS, MLP, aggregate
 from .rng import SeededRng
-from .tensor import Tensor, no_grad, row, softmax, softmax_cross_entropy
+from .tensor import Tensor, no_grad, softmax, softmax_cross_entropy
 
 
 @dataclass
@@ -92,24 +92,20 @@ def pool_set(enc: Encoder, obs: SetObservation, aggregator: str) -> Tensor:
 def pool_sets(enc: Encoder, sets: list[SetObservation], aggregator: str) -> list[Tensor]:
     """The pooled latent of each set, bitwise `pool_set` of each, in one no-grad pass.
 
-    The plain payloads of one modality, across all sets, are one stacked
-    `phi_forward` call and the bags of one modality one `pool_instances`
-    call; each set's latents then go through `aggregate` as in `pool_set`.
+    A plain payload is a bag of one, whose max is its own latent, so the
+    elements of one modality, across all sets, are one `pool_instances`
+    call (over a frozen encoder, one stacked φ call); each set's latents
+    then go through `aggregate` as in `pool_set`.
     """
     with no_grad():
         feats: list[list] = [[None] * obs.q for obs in sets]
-        groups: dict[tuple[bool, int], list] = {}  # (bag?, modality index) -> [(i, j, payload)]
+        groups: dict[int, list] = {}  # modality index -> [(i, j, bag)]
         for i, obs in enumerate(sets):
             for j, (payload, modality) in enumerate(obs.elements):
-                key = (isinstance(payload, (list, tuple)), enc.hypernet.index(modality))
-                groups.setdefault(key, []).append((i, j, payload))
-        for (bags, m), members in groups.items():
-            payloads = [payload for _, _, payload in members]
-            if bags:
-                latents = enc.pool_instances(payloads, m)
-            else:
-                stacked = enc.phi_forward(payloads, m)
-                latents = [row(stacked, k) for k in range(len(payloads))]
+                bag = payload if isinstance(payload, (list, tuple)) else [payload]
+                groups.setdefault(enc.hypernet.index(modality), []).append((i, j, bag))
+        for m, members in groups.items():
+            latents = enc.pool_instances([bag for _, _, bag in members], m)
             for (i, j, _), latent in zip(members, latents):
                 feats[i][j] = latent
         return [aggregate(f, aggregator) for f in feats]

@@ -299,7 +299,7 @@ class TestPoolSets:
                             lambda bags, m: pools.append((m, len(bags))) or pool_instances(bags, m))
         pool_sets(enc, sets, "mean")
         assert sorted(phi) == [(0, (8, 6)), (1, (36, 6)), (2, (8, 6))]
-        assert pools == [(1, 8)]
+        assert pools == [(0, 8), (1, 8), (2, 8)]
 
     BAD = {
         "width": ((np.ones(7), 0), ShapeError),
