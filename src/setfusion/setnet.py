@@ -7,9 +7,10 @@ order-independent reduction, and a small dense network maps the
 aggregate to class logits. Set size never changes the output width.
 
 `pool_set` and `predict_proba` take one set. `pool_sets` pools a whole
-list of sets in one no-grad pass, with results bitwise those of
-`pool_set`: one `pool_instances` call per modality, which over a frozen
-encoder is one stacked φ call instead of one per element.
+list of sets in one no-grad pass, over a frozen or a trainable encoder
+alike: one `pool_instances` call per modality, which is one stacked φ
+call instead of one per element, with results bitwise those of
+`pool_set`.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def pool_sets(enc: Encoder, sets: list[SetObservation], aggregator: str) -> list
 
     A plain payload is a bag of one, whose max is its own latent, so the
     elements of one modality, across all sets, are one `pool_instances`
-    call (over a frozen encoder, one stacked φ call); each set's latents
-    then go through `aggregate` as in `pool_set`.
+    call, one stacked φ call under `no_grad`; each set's latents then go
+    through `aggregate` as in `pool_set`.
     """
     with no_grad():
         feats: list[list] = [[None] * obs.q for obs in sets]

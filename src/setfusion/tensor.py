@@ -67,6 +67,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a graph here: false inside `no_grad`."""
+    return _grad_enabled
+
+
 class Tensor:
     """An n-dimensional float64 array with optional gradient tracking."""
 

@@ -301,6 +301,24 @@ class TestPoolSets:
         assert sorted(phi) == [(0, (8, 6)), (1, (36, 6)), (2, (8, 6))]
         assert pools == [(0, 8), (1, 8), (2, 8)]
 
+    def test_a_trainable_encoder_is_one_phi_pass_per_modality_too(self, monkeypatch):
+        enc, _ = make_models(seed=33)
+        rng = SeededRng(33)
+        sets = [
+            SetObservation(elements=[(rng.normal(6), ModalityId(0)),
+                                     ([rng.normal(6) for _ in range(k)], ModalityId(1))],
+                           label=0, sample_id=str(k))
+            for k in range(1, 9)
+        ]
+        with no_grad():
+            expected = [pool_set(enc, obs, "max").data.tobytes() for obs in sets]
+        phi = []
+        phi_forward = enc.phi_forward
+        monkeypatch.setattr(enc, "phi_forward",
+                            lambda x, m: phi.append((m, np.shape(x))) or phi_forward(x, m))
+        assert [p.data.tobytes() for p in pool_sets(enc, sets, "max")] == expected
+        assert sorted(phi) == [(0, (8, 6)), (1, (36, 6))]
+
     BAD = {
         "width": ((np.ones(7), 0), ShapeError),
         "bag_width": (([np.ones(6), np.ones(5)], 1), ShapeError),
