@@ -84,8 +84,7 @@ class MaskedSample:
     """A d-modal observation with explicit missing slots.
 
     `slots[i]` is None exactly when `mask[i] == 1`; observed slots keep
-    the original payload. `generate` returns complete ones (all-zero
-    masks) for `apply_missingness` to mask.
+    the original payload. `generate` makes complete ones (all-zero masks).
     """
 
     slots: list
@@ -128,8 +127,7 @@ def generate(
     noise_sigma=0.5,
     bag_size_range: tuple[int, int] = (2, 5),
 ) -> list[MaskedSample]:
-    """Class-balanced complete samples (all-zero masks) around
-    per-(class, modality) centroids."""
+    """Class-balanced complete samples around per-(class, modality) centroids."""
     sigmas = check_generate_args(schema, n, class_sep, noise_sigma, bag_size_range)
     lo, hi = bag_size_range
 
@@ -154,9 +152,8 @@ def generate(
                 payloads.append([base + sigmas[i] * srng.normal(r) for _ in range(size)])
             else:
                 payloads.append(base)
-        samples.append(MaskedSample(slots=payloads, label=y,
-                                    mask=np.zeros(schema.num_modalities, dtype=np.uint8),
-                                    sample_id=f"s{idx:06d}"))
+        mask = np.zeros(schema.num_modalities, dtype=np.uint8)
+        samples.append(MaskedSample(slots=payloads, label=y, mask=mask, sample_id=f"s{idx:06d}"))
     return samples
 
 

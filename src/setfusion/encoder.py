@@ -127,17 +127,15 @@ class Encoder:
     def pool_instances(self, bags, m) -> list[Tensor]:
         """The elementwise max over the latent features of each bag of payloads.
 
-        Frozen, or trainable under `no_grad`, the instances of all bags
-        are one `phi_forward` call on their list, each bag's max bitwise
-        that of k separate calls. Trainable with gradient on, each payload
-        is its own φ pass, so a recorded bag's gradient sums in the order
-        single payloads give; so is each `Tensor` payload, which may take
-        gradient."""
+        Frozen or under `no_grad`, the instances of all bags are one
+        `phi_forward` call on their list, each bag's max bitwise that of k
+        separate calls. Otherwise each payload is its own φ pass, so a
+        recorded bag's gradient sums in the order single payloads give; so
+        is each `Tensor` payload, which may take gradient."""
         if not all(bags):
             raise ValueError("pool_instances: empty bag")
         xs = [x for bag in bags for x in bag]
-        stacked = self.frozen or not grad_enabled()
-        if not stacked or not xs or any(isinstance(x, Tensor) for x in xs):
+        if (not self.frozen and grad_enabled()) or not xs or any(isinstance(x, Tensor) for x in xs):
             return [aggregate([self.phi_forward(x, m) for x in bag], "max") for bag in bags]
         latents = self.phi_forward(xs, m)
         starts = list(accumulate(map(len, bags[:-1]), initial=0))
