@@ -90,11 +90,9 @@ class _BaselineNet:
 
 
 def _slot_vector(sample: MaskedSample, i: int, schema: DatasetSchema) -> np.ndarray | None:
-    """Observed slot as one vector; bags are averaged instance-wise."""
-    if sample.mask[i]:
-        return None
+    """Observed slot as one vector, None if missing; bags are averaged instance-wise."""
     slot = sample.slots[i]
-    if schema.is_bag(i):
+    if slot is not None and schema.is_bag(i):
         return np.mean(np.stack(slot), axis=0)
     return slot
 
@@ -142,7 +140,7 @@ def _fit_unimodal(
     def items_of(samples):
         items = []
         for s in samples:
-            if s.mask[k]:
+            if s.slots[k] is None:
                 continue
             if schema.is_bag(k) and instance_level:
                 items.extend((inst, s.label) for inst in s.slots[k])
@@ -176,7 +174,7 @@ def run_baseline(
         if kind.k is None or not 0 <= kind.k < schema.num_modalities:
             raise ValueError(f"unimodal baseline needs a valid modality index, got {kind.k}")
         net = _fit_unimodal(kind.k, schema, train, val, cfg)
-        eligible = [s for s in test if not s.mask[kind.k]]
+        eligible = [s for s in test if s.slots[kind.k] is not None]
         if not eligible:
             raise ValueError(f"unimodal baseline: modality {kind.k} unobserved in test split")
         scores = [(net.proba(s.slots[kind.k], pos), s.label) for s in eligible]
@@ -199,7 +197,7 @@ def run_baseline(
     if kind.name == "late_fusion_average":
         nets: dict[int, _BaselineNet] = {}
         for k in range(schema.num_modalities):
-            if any(not s.mask[k] for s in train) and any(not s.mask[k] for s in val):
+            if all(any(s.slots[k] is not None for s in part) for part in (train, val)):
                 nets[k] = _fit_unimodal(k, schema, train, val, cfg, instance_level=True)
         if not nets:
             raise ValueError("late fusion: no modality observed in both train and val")
@@ -207,7 +205,7 @@ def run_baseline(
         for s in test:
             probs = []
             for k, net in nets.items():
-                if s.mask[k]:
+                if s.slots[k] is None:
                     continue
                 items = s.slots[k] if schema.is_bag(k) else [s.slots[k]]
                 probs.extend(net.proba(x, pos) for x in items)

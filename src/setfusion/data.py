@@ -1,10 +1,10 @@
 """Synthetic multimodal datasets with controlled missingness.
 
 Payloads of class y, modality i are noisy copies of a class/modality
-centroid drawn once from a sphere of radius `class_sep`. Missingness
-is applied per sample after generation; a sample is never left fully
-missing (offending draws are redrawn). Datasets serialize to a small
-binary container with a magic tag and format version.
+centroid drawn once from a sphere of radius `class_sep`. Missingness is
+applied per sample after generation by setting slots to None; a sample
+is never left fully missing (offending draws are redrawn). Datasets
+serialize to a binary container with a magic tag and format version.
 """
 
 from __future__ import annotations
@@ -81,20 +81,24 @@ class DatasetSchema:
 
 @dataclass
 class MaskedSample:
-    """A d-modal observation with explicit missing slots.
+    """A d-modal observation; `slots[i]` is None when modality i is missing.
 
-    `slots[i]` is None exactly when `mask[i] == 1`; observed slots keep
-    the original payload. `generate` makes complete ones (all-zero masks).
+    Observed slots keep the original payload; `generate` makes complete
+    ones. `mask` and `q` are read from the slots, never stored beside them.
     """
 
     slots: list
     label: int
-    mask: np.ndarray
     sample_id: str
 
     @property
+    def mask(self) -> np.ndarray:
+        """uint8 per modality, 1 where the slot is missing."""
+        return np.array([slot is None for slot in self.slots], dtype=np.uint8)
+
+    @property
     def q(self) -> int:
-        return int(len(self.mask) - self.mask.sum())
+        return sum(slot is not None for slot in self.slots)
 
 
 def check_generate_args(schema: DatasetSchema, n: int, class_sep, noise_sigma,
@@ -152,8 +156,7 @@ def generate(
                 payloads.append([base + sigmas[i] * srng.normal(r) for _ in range(size)])
             else:
                 payloads.append(base)
-        mask = np.zeros(schema.num_modalities, dtype=np.uint8)
-        samples.append(MaskedSample(slots=payloads, label=y, mask=mask, sample_id=f"s{idx:06d}"))
+        samples.append(MaskedSample(slots=payloads, label=y, sample_id=f"s{idx:06d}"))
     return samples
 
 
@@ -184,7 +187,7 @@ def apply_missingness(
     root = SeededRng(seed)
     masked = []
     for idx, s in enumerate(samples):
-        if s.mask.any():
+        if any(slot is None for slot in s.slots):
             raise ValueError(f"apply_missingness: sample '{s.sample_id}' already misses a modality")
         d = len(s.slots)
         rng = root.child("mask", idx)
@@ -198,17 +201,13 @@ def apply_missingness(
             if not v.all():
                 break
         slots = [None if v[i] else s.slots[i] for i in range(d)]
-        masked.append(MaskedSample(slots=slots, label=s.label, mask=v, sample_id=s.sample_id))
+        masked.append(MaskedSample(slots=slots, label=s.label, sample_id=s.sample_id))
     return masked
 
 
 def to_set(ms: MaskedSample, schema: DatasetSchema) -> SetObservation:
     """Observed (payload, modality) pairs in ascending modality order."""
-    elements = [
-        (ms.slots[i], schema.modality(i))
-        for i in range(len(ms.slots))
-        if ms.mask[i] == 0
-    ]
+    elements = [(slot, schema.modality(i)) for i, slot in enumerate(ms.slots) if slot is not None]
     return SetObservation(elements=elements, label=ms.label, sample_id=ms.sample_id)
 
 
@@ -247,8 +246,7 @@ def split(samples: list, ratios, seed) -> tuple[list, list, list]:
 
 def missing_fraction(samples: list[MaskedSample]) -> np.ndarray:
     """Observed missing rate per modality."""
-    masks = np.stack([s.mask for s in samples])
-    return masks.mean(axis=0)
+    return np.stack([s.mask for s in samples]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +259,9 @@ def _write_array(fh, arr: np.ndarray) -> None:
 
 def save_dataset(path, schema: DatasetSchema, samples: list[MaskedSample]) -> None:
     for s in samples:  # the same checks as load_dataset, before anything is written
-        if np.all(s.mask):
+        if all(slot is None for slot in s.slots):
             raise DataFormatError(f"{path}: sample '{s.sample_id}' has every modality missing")
-        if any(not s.mask[i] and schema.is_bag(i) and len(slot) == 0
+        if any(slot is not None and schema.is_bag(i) and len(slot) == 0
                for i, slot in enumerate(s.slots)):
             raise DataFormatError(f"{path}: sample '{s.sample_id}' has an empty instance bag")
     with open(path, "wb") as fh:
@@ -278,9 +276,9 @@ def save_dataset(path, schema: DatasetSchema, samples: list[MaskedSample]) -> No
             fh.write(struct.pack("<H", len(sid)))
             fh.write(sid)
             fh.write(struct.pack("<i", s.label))
-            fh.write(np.asarray(s.mask, dtype=np.uint8).tobytes())
+            fh.write(s.mask.tobytes())
             for i, slot in enumerate(s.slots):
-                if s.mask[i]:
+                if slot is None:
                     continue
                 if schema.is_bag(i):
                     fh.write(struct.pack("<I", len(slot)))
@@ -334,7 +332,7 @@ def load_dataset(path) -> tuple[DatasetSchema, list[MaskedSample]]:
                 slots.append([payload(sid) for _ in range(count)])
             else:
                 slots.append(payload(sid))
-        samples.append(MaskedSample(slots=slots, label=label, mask=mask, sample_id=sid))
+        samples.append(MaskedSample(slots=slots, label=label, sample_id=sid))
     rd.finish()
     return schema, samples
 

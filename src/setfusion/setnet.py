@@ -73,7 +73,6 @@ class SetClassifier(MLP):
             raise ValueError(f"unknown aggregator {aggregator!r}; expected one of {AGGREGATOR_KINDS}")
         super().__init__([d_l, *hidden, num_classes], rng, "rho")
         self.aggregator = aggregator
-        self.d_l = d_l
         self.num_classes = num_classes
 
     rho = MLP.__call__

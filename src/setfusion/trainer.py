@@ -77,6 +77,9 @@ class TrainConfig:
         if not (isinstance(widths, (tuple, list)) and len(widths) == 2
                 and all(is_int(w) and w >= 1 for w in widths)):
             raise ValueError(f"rho_hidden must be exactly two positive integer widths, got {widths!r}")
+        # plain values, so that dump_config writes text parse_config reads back
+        self.lr = float(self.lr)
+        self.rho_hidden = tuple(int(w) for w in widths)
 
     def encoder_config(self, schema: DatasetSchema) -> EncoderConfig:
         return EncoderConfig(
@@ -124,32 +127,6 @@ class TrainReport:
         }
 
 
-class EarlyStopper:
-    """Stop after `patience` epochs without a strict val-loss decrease."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best_val = np.inf
-        self.best_epoch = 0
-        self.epochs_since_best = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        """Record an epoch; returns True when this is a new best."""
-        if val_loss < self.best_val:
-            self.best_val = val_loss
-            self.best_epoch = epoch
-            self.epochs_since_best = 0
-            return True
-        self.epochs_since_best += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.epochs_since_best >= self.patience
-
-
 def collect_phase1_items(
     samples: list[MaskedSample], schema: DatasetSchema
 ) -> list[tuple[np.ndarray, int, int]]:
@@ -157,7 +134,7 @@ def collect_phase1_items(
     items = []
     for s in samples:
         for i, slot in enumerate(s.slots):
-            if s.mask[i]:
+            if slot is None:
                 continue
             if schema.is_bag(i):
                 items.extend((inst, i, s.label) for inst in slot)
@@ -192,15 +169,18 @@ def train_loop(
     shuffle_rng: SeededRng,
     phase_name: str,
 ) -> PhaseReport:
-    """Shared epoch loop: shuffle, one Adam step per item, early stop, restore."""
+    """Shared epoch loop: shuffle, one Adam step per item, early stop, restore.
+
+    Stops once `cfg.patience` epochs pass without a strict val-loss
+    decrease (epoch 1 always sets the best); restores the best weights.
+    """
     if not train_items:
         raise ValueError(f"{phase_name}: empty training stream")
     if not val_items:
         raise ValueError(f"{phase_name}: empty validation stream")
     opt = Adam(named_params, lr=cfg.lr)
-    stopper = EarlyStopper(cfg.patience)
     report = PhaseReport()
-    best = opt.flat.copy()
+    best, best_val = opt.flat.copy(), np.inf
 
     for epoch in range(1, max_epochs + 1):
         order = shuffle_rng.permutation(len(train_items))
@@ -217,15 +197,14 @@ def train_loop(
             raise NumericError(f"{phase_name}: non-finite loss at epoch {epoch}")
         report.train_losses.append(train_loss)
         report.val_losses.append(val_loss)
-        if stopper.update(epoch, val_loss):
-            best = opt.flat.copy()
         report.stopped_epoch = epoch
-        if stopper.should_stop:
+        if val_loss < best_val:
+            best, best_val, report.best_epoch = opt.flat.copy(), val_loss, epoch
+        elif epoch - report.best_epoch >= cfg.patience:
             break
 
     opt.flat[...] = best
     opt.release_gradients()
-    report.best_epoch = stopper.best_epoch
     return report
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from setfusion.config import (
@@ -65,7 +66,7 @@ def test_zero_model_width_rejected(key):
 @pytest.mark.parametrize("section, key, value", [
     ("run", "lr", "nan"), ("run", "lr", "inf"), ("run", "lr", "0"), ("run", "lr", "true"),
     ("run", "two_steps", "no"), ("model", "aggregator", "median"),
-    ("run", "seed", "-1"),
+    ("run", "seed", "-1"), ("run", "patience", "0"),
 ])
 def test_invalid_training_values_rejected(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -121,4 +122,15 @@ def test_every_field_is_set_by_exactly_one_config_key():
 def test_a_non_default_value_of_each_field_round_trips(field):
     cfg = dataclasses.replace(TrainConfig(), **{field: NON_DEFAULT[field]})
     assert getattr(cfg, field) != getattr(TrainConfig(), field)
+    assert parse_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("overrides", [{"rho_hidden": [32, 16]}, {"rho_hidden": (np.int64(8), 6)},
+                                       {"lr": np.float64(1e-3)}, {"lr": np.float32(0.5)},
+                                       {"lr": 1}],
+                         ids=["list", "numpy_widths", "float64", "float32", "int"])
+def test_every_accepted_form_of_a_field_round_trips(overrides):
+    cfg = TrainConfig(**overrides)
+    assert type(cfg.lr) is float
+    assert type(cfg.rho_hidden) is tuple and all(type(w) is int for w in cfg.rho_hidden)
     assert parse_config(dump_config(cfg)) == cfg

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import struct
 import tempfile
@@ -117,6 +119,21 @@ class TestGenerate:
             assert s.mask.dtype == np.uint8 and s.mask.tolist() == [0, 0]
             assert s.q == 2 and all(slot is not None for slot in s.slots)
 
+
+class TestMaskedSample:
+    def test_fields_are_slots_label_and_sample_id(self):
+        assert [f.name for f in dataclasses.fields(MaskedSample)] == ["slots", "label", "sample_id"]
+
+    def test_mask_and_q_are_read_from_the_slots(self):
+        sample = MaskedSample(slots=[np.zeros(2), None], label=0, sample_id="s")
+        assert sample.mask.dtype == np.uint8 and sample.mask.tolist() == [0, 1]
+        assert sample.q == 1
+
+    def test_mask_cannot_be_assigned(self):
+        sample = MaskedSample(slots=[np.zeros(2), None], label=0, sample_id="s")
+        with pytest.raises(AttributeError):
+            sample.mask = np.array([0, 0], dtype=np.uint8)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             generate(schema2(), n=0, seed=0)
@@ -218,7 +235,6 @@ class TestToSet:
     def test_middle_modality_missing(self):
         s = schema3()
         masked = apply_missingness(generate(s, n=1, seed=17), rate=0.0)[0]
-        masked.mask = np.array([0, 1, 0], dtype=np.uint8)
         masked.slots[1] = None
         obs = to_set(masked, s)
         assert obs.q == 2
@@ -292,6 +308,20 @@ class TestContainer:
                         assert ia.tobytes() == ib.tobytes()
                 else:
                     assert a.slots[i].tobytes() == b.slots[i].tobytes()
+
+    def test_roundtrip_keeps_every_mask(self, tmp_path):
+        s = schema3(r=2)
+        patterns = [p for p in itertools.product((0, 1), repeat=3) if not all(p)]
+        samples = [
+            MaskedSample(slots=[None if missing else np.full(2, float(j)) for missing in pattern],
+                         label=j % 2, sample_id=f"s{j}")
+            for j, pattern in enumerate(patterns)
+        ]
+        path = tmp_path / "data.sfds"
+        save_dataset(path, s, samples)
+        _, loaded = load_dataset(path)
+        assert [b.mask.tolist() for b in loaded] == [list(p) for p in patterns]
+        assert all(b.mask.dtype == np.uint8 for b in loaded)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         s = schema2()
@@ -398,7 +428,6 @@ class TestContainer:
     def test_save_rejects_what_load_rejects_and_writes_nothing(self, tmp_path):
         s = schema2(r=2, bags=(1,))
         fully_missing, empty_bag = apply_missingness(generate(s, n=2, seed=29), rate=0.0)
-        fully_missing.mask[:] = 1
         fully_missing.slots = [None, None]
         empty_bag.slots[1] = []
         for sample, match in ((fully_missing, "every modality missing"),

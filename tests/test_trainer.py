@@ -13,7 +13,6 @@ from setfusion.rng import SeededRng
 from setfusion.setnet import SetClassifier, SetObservation, phase2_loss, pool_sets, predict_proba
 from setfusion.tensor import Tensor, softmax, softmax_cross_entropy
 from setfusion.trainer import (
-    EarlyStopper,
     TrainConfig,
     collect_phase1_items,
     run_full,
@@ -40,39 +39,22 @@ def tiny_dataset(n=60, r=8, noise=0.5, seed=0, rate=0.0, bags=()):
     return schema, apply_missingness(samples, rate=rate, mechanism="mcar", seed=seed + 1)
 
 
-class TestEarlyStopper:
-    def test_patience_rule_on_plateau(self):
-        # losses 5, then eleven 4s: epoch 2 is the last improvement,
-        # epoch 12 exhausts a patience of 10
-        stopper = EarlyStopper(patience=10)
-        losses = [5.0] + [4.0] * 11
-        stopped_at = None
-        for epoch, v in enumerate(losses, start=1):
-            stopper.update(epoch, v)
-            if stopper.should_stop:
-                stopped_at = epoch
-                break
-        assert stopped_at == 12
-        assert stopper.best_epoch == 2
+def scripted_loop(val_losses, patience, max_epochs):
+    """`train_loop` over one trainable item whose validation loss at epoch e
+    is `val_losses[e - 1]`; returns the report, the weights each epoch's
+    validation saw, and the weights `train_loop` leaves."""
+    w = Tensor(np.zeros(2), requires_grad=True, name="w")
+    seen = []
 
-    def test_strict_decrease_required(self):
-        stopper = EarlyStopper(patience=2)
-        assert stopper.update(1, 1.0)
-        assert not stopper.update(2, 1.0)
-        assert stopper.update(3, 0.999)
+    def item_loss(item):
+        if item == "train":
+            return softmax_cross_entropy(w, 0)
+        seen.append(w.data.copy())
+        return Tensor(np.array(val_losses[len(seen) - 1]))
 
-    def test_never_exceeds_best_plus_patience(self):
-        rng = SeededRng(0)
-        stopper = EarlyStopper(patience=3)
-        for epoch in range(1, 100):
-            stopper.update(epoch, float(rng.uniform(0, 1)))
-            if stopper.should_stop:
-                break
-        assert epoch <= stopper.best_epoch + 3
-
-    def test_invalid_patience(self):
-        with pytest.raises(ValueError):
-            EarlyStopper(patience=0)
+    report = train_loop({"w": w}, item_loss, ["train"], ["val"], small_cfg(patience=patience),
+                        max_epochs, SeededRng(0), "scripted")
+    return report, seen, w.data.copy()
 
 
 class TestTrainLoop:
@@ -89,6 +71,35 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"empty {empty} stream"):
             train_loop({"w": w}, item_loss, train, val, small_cfg(), 3, SeededRng(0), "probe")
         assert calls == []
+
+    def test_patience_rule_on_plateau(self):
+        # losses 5, then eleven 4s: epoch 2 is the last improvement,
+        # epoch 12 exhausts a patience of 10 before the budget of 17 ends
+        losses = [5.0] + [4.0] * 11 + [3.0] * 5
+        report, _, _ = scripted_loop(losses, patience=10, max_epochs=17)
+        assert report.stopped_epoch == 12
+        assert report.best_epoch == 2
+        assert report.val_losses == losses[:12]
+
+    def test_only_a_strict_decrease_resets_patience(self):
+        # epoch 2 ties epoch 1 and counts against patience; epoch 3 is a new best
+        report, _, _ = scripted_loop([1.0, 1.0, 0.999, 0.999, 0.999, 0.5], patience=2,
+                                     max_epochs=6)
+        assert report.best_epoch == 3
+        assert report.stopped_epoch == 5
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_never_exceeds_best_plus_patience(self, seed):
+        losses = SeededRng(seed).uniform(0, 1, 99).tolist()
+        report, _, _ = scripted_loop(losses, patience=3, max_epochs=99)
+        assert report.stopped_epoch <= report.best_epoch + 3
+        assert report.best_epoch == int(np.argmin(report.val_losses)) + 1
+
+    def test_restores_the_best_epochs_weights(self):
+        report, seen, final = scripted_loop([3.0, 1.0, 2.0, 2.0, 2.0], patience=3, max_epochs=5)
+        assert (report.best_epoch, report.stopped_epoch) == (2, 5)
+        assert final.tobytes() == seen[1].tobytes()
+        assert final.tobytes() != seen[-1].tobytes()
 
 
 class TestCollectItems:
@@ -491,6 +502,11 @@ class TestPositiveClass:
     def test_negative_value_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
             small_cfg(**{field: -1})
+
+    def test_patience_below_one_rejected(self):
+        with pytest.raises(ValueError) as err:
+            small_cfg(patience=0)
+        assert str(err.value) == "patience must be >= 1, got 0"
 
     INT_FIELDS = ["seed", "patience", "max_epochs_phase1", "max_epochs_phase2",
                   "d_z", "d_l", "backbone_hidden", "decoder_hidden", "embed_dim", "hyper_hidden"]
