@@ -28,6 +28,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .metrics import METRIC_NAMES, MetricSet
+from .tensor import is_int
 from .trainer import TrainConfig, run_full
 
 # baseline model name -> its BaselineKind name
@@ -289,6 +290,11 @@ def scenario_compare(
         raise ValueError("scenario_compare: need at least one seed")
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"scenario_compare: jobs must be an integer >= 1, got {jobs!r}")
+    for i, seed in enumerate(seeds):
+        if not is_int(seed) or seed < 0:
+            raise ValueError(f"scenario_compare: seed {seed!r} is not an integer >= 0")
+        if seed in seeds[:i]:
+            raise ValueError(f"scenario_compare: seed {seed!r} is repeated")
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate scenario names: {names}")

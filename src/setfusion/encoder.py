@@ -25,10 +25,15 @@ from .tensor import (
     as_tensor,
     dense_stack,
     grad_enabled,
+    is_int,
     mse,
     no_grad,
     softmax_cross_entropy,
 )
+
+# EncoderConfig field -> its least value; every field is an integer
+_INT_FIELDS = {"input_width": 1, "num_classes": 2, "num_modalities": 1, "d_z": 1, "d_l": 1,
+               "backbone_hidden": 1, "decoder_hidden": 1, "embed_dim": 1, "hyper_hidden": 1}
 
 
 @dataclass
@@ -44,14 +49,12 @@ class EncoderConfig:
     hyper_hidden: int = 32
 
     def __post_init__(self):
-        for field in ("input_width", "d_z", "d_l", "backbone_hidden", "decoder_hidden",
-                      "embed_dim", "hyper_hidden"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.num_modalities < 1:
-            raise ValueError(f"num_modalities must be >= 1, got {self.num_modalities}")
+        for name, low in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class Phase1Output(NamedTuple):

@@ -205,6 +205,25 @@ def test_scenario_compare_rejects_a_jobs_that_is_not_a_positive_int(monkeypatch,
     assert str(err.value) == f"scenario_compare: jobs must be an integer >= 1, got {jobs!r}"
 
 
+@pytest.mark.parametrize("seeds, expected", [
+    ([0, -1], "seed -1 is not an integer >= 0"),
+    ([0, True], "seed True is not an integer >= 0"),
+    ([0, 1.0], "seed 1.0 is not an integer >= 0"),
+    ([0, "1"], "seed '1' is not an integer >= 0"),
+    ([0, 1, 0], "seed 0 is repeated"),
+])
+def test_scenario_compare_rejects_a_bad_seed_before_any_run(monkeypatch, seeds, expected):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    calls = []
+    monkeypatch.setattr(compare, "run_scenario_model", no_run)
+    with pytest.raises(ValueError) as err:
+        scenario_compare([tiny_scenario()], seeds, TINY, progress=calls.append)
+    assert str(err.value) == f"scenario_compare: {expected}"
+    assert calls == []
+
+
 def test_write_table_writes_header_and_rows_with_repr_floats(tmp_path):
     scenario = tiny_scenario(models=("unimodal_0", "zero_fill"))
     result = ComparisonResult(scenarios=[scenario], seeds=[0, 1])

@@ -50,6 +50,29 @@ def make_encoder(seed=0, **overrides):
     return Encoder(small_config(**overrides), SeededRng(seed))
 
 
+class TestEncoderConfig:
+    FIELDS = ["input_width", "num_classes", "num_modalities", "d_z", "d_l", "backbone_hidden",
+              "decoder_hidden", "embed_dim", "hyper_hidden"]
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_value_that_is_no_integer_rejected(self, field, value):
+        with pytest.raises(ValueError) as err:
+            small_config(**{field: value})
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("field, low", [("num_classes", 2), ("num_modalities", 1),
+                                            ("input_width", 1), ("d_z", 1)])
+    def test_a_value_below_the_least_rejected(self, field, low):
+        with pytest.raises(ValueError) as err:
+            small_config(**{field: low - 1})
+        assert str(err.value) == f"{field} must be >= {low}, got {low - 1}"
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_numpy_integer_accepted(self, field):
+        assert getattr(small_config(**{field: np.int64(3)}), field) == 3
+
+
 class TestPhiForward:
     def test_output_width_is_latent_dim_for_every_modality(self):
         enc = make_encoder()
