@@ -1,9 +1,10 @@
-"""Bounds-checked decoding of the package's binary containers.
+"""Framing and bounds-checked decoding of the package's binary containers.
 
-Dataset and checkpoint files are read whole and parsed with `Reader`,
-which turns every way the bytes can miss the layout into a
-`DataFormatError`: a file cut inside any field, a header that is not a
-UTF-8 JSON object, and bytes left over after the last record.
+A dataset or checkpoint file is a magic, a `<I` version, a `<I` header
+length, a UTF-8 JSON header, then the records of its format. `Reader`
+turns every way the bytes can miss the layout into a `DataFormatError`:
+a file cut inside any field, a header that is not a JSON object, and
+bytes left over after the last record.
 """
 
 from __future__ import annotations
@@ -61,3 +62,23 @@ class Reader:
     def finish(self) -> None:
         if self.pos != len(self.blob):
             raise self.error(f"{len(self.blob) - self.pos} trailing bytes after the last record")
+
+
+def write_container(path, magic: bytes, version: int, header: dict, body: bytes) -> None:
+    """One write of the whole file, so a body that fails to build leaves no file."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<II", version, len(blob)) + blob + body)
+
+
+def read_container(path, magic: bytes, version: int, kind: str) -> tuple[Reader, dict]:
+    """A reader positioned after the header of a `kind` file, and the header."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != magic:
+        raise DataFormatError(f"{path}: not a {kind} (bad magic)")
+    rd = Reader(blob, path, start=4)
+    found = rd.unpack("<I", "format version")
+    if found != version:
+        raise rd.error(f"unsupported {kind} version {found}")
+    return rd, rd.json_object(rd.unpack("<I", "header length"), "header")

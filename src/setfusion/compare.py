@@ -56,6 +56,17 @@ class Scenario:
     bag_size_range: tuple[int, int] = (2, 5)
     models: tuple[str, ...] = ("setfusion",)
 
+    def __post_init__(self):
+        """Reject, naming this scenario, any value that would fail one of its runs."""
+        try:
+            check_generate_args(self.schema(), self.n, self.class_sep, self.noise_sigma,
+                                self.bag_size_range)
+            check_missingness_args(self.missing_rate, self.mechanism, self.k, self.num_modalities)
+        except ValueError as exc:
+            raise ConfigError(f"scenario {self.name!r}: {exc}") from exc
+        for model in self.models:
+            _model_kind(model, self)
+
     def schema(self) -> DatasetSchema:
         return DatasetSchema(
             num_modalities=self.num_modalities,
@@ -64,21 +75,6 @@ class Scenario:
             num_classes=self.num_classes,
             bag_modalities=self.bag_modalities,
         )
-
-    def check(self) -> None:
-        """Reject, naming this scenario, any value that would fail one of its runs."""
-        self._check_values()
-        for model in self.models:
-            _model_kind(model, self)
-
-    def _check_values(self) -> None:
-        """Reject, naming this scenario, a value `generate` or `apply_missingness` would."""
-        try:
-            check_generate_args(self.schema(), self.n, self.class_sep, self.noise_sigma,
-                                self.bag_size_range)
-            check_missingness_args(self.missing_rate, self.mechanism, self.k, self.num_modalities)
-        except ValueError as exc:
-            raise ConfigError(f"scenario {self.name!r}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -254,7 +250,6 @@ def _model_kind(model: str, scenario: Scenario) -> BaselineKind | None:
 def run_scenario_model(scenario: Scenario, model: str, seed: int, base_cfg: TrainConfig) -> MetricSet:
     """One full training run; pure in (scenario, model, seed, base_cfg)."""
     kind = _model_kind(model, scenario)  # validates before any heavy work
-    scenario._check_values()
     cfg = replace(base_cfg, seed=seed, two_steps=(model != "setfusion_joint"))
     schema = scenario.schema()
     samples = generate(
@@ -298,8 +293,6 @@ def scenario_compare(
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate scenario names: {names}")
-    for sc in scenarios:  # a bad value fails here, not after the runs before it
-        sc.check()
     base_cfg = base_cfg or TrainConfig()
     tasks = [
         (scenario, model, seed, base_cfg)

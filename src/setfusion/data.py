@@ -4,22 +4,23 @@ Payloads of class y, modality i are noisy copies of a class/modality
 centroid drawn once from a sphere of radius `class_sep`. Missingness is
 applied per sample after generation by setting slots to None; a sample
 is never left fully missing (offending draws are redrawn). Datasets
-serialize to a binary container with a magic tag and format version.
+serialize to a `binio` container whose header is the schema; both
+`save_dataset` and `load_dataset` hold every sample to `check_sample`.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import Reader
+from .binio import read_container, write_container
 from .errors import DataFormatError
 from .hypernet import ModalityId
 from .rng import SeededRng
 from .setnet import SetObservation
+from .tensor import is_int
 
 MAGIC = b"SFDS"
 FORMAT_VERSION = 1
@@ -36,12 +37,15 @@ class DatasetSchema:
     bag_modalities: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.num_modalities < 1:
-            raise ValueError(f"num_modalities must be >= 1, got {self.num_modalities}")
-        if self.payload_width < 1:
-            raise ValueError(f"payload_width must be >= 1, got {self.payload_width}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        for name, low in (("num_modalities", 1), ("payload_width", 1), ("num_classes", 2)):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not (isinstance(self.modality_names, list)
+                and all(isinstance(name, str) for name in self.modality_names)):
+            raise ValueError(f"modality_names must be a list of str, got {self.modality_names!r}")
         if len(self.modality_names) != self.num_modalities:
             raise ValueError(
                 f"{len(self.modality_names)} names for {self.num_modalities} modalities"
@@ -50,8 +54,8 @@ class DatasetSchema:
             raise ValueError(f"modality names must be unique, got {self.modality_names}")
         self.bag_modalities = tuple(sorted(self.bag_modalities))
         for i in self.bag_modalities:
-            if not 0 <= i < self.num_modalities:
-                raise ValueError(f"bag modality index {i} out of range")
+            if not (is_int(i) and 0 <= i < self.num_modalities):
+                raise ValueError(f"bag modality index {i!r} out of range")
 
     def modality(self, index: int) -> ModalityId:
         return ModalityId(index=index, name=self.modality_names[index])
@@ -71,11 +75,11 @@ class DatasetSchema:
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSchema":
         return cls(
-            num_modalities=int(d["num_modalities"]),
-            modality_names=list(d["modality_names"]),
-            payload_width=int(d["payload_width"]),
-            num_classes=int(d["num_classes"]),
-            bag_modalities=tuple(d.get("bag_modalities", ())),
+            num_modalities=d["num_modalities"],
+            modality_names=d["modality_names"],
+            payload_width=d["payload_width"],
+            num_classes=d["num_classes"],
+            bag_modalities=d.get("bag_modalities", ()),
         )
 
 
@@ -99,6 +103,31 @@ class MaskedSample:
     @property
     def q(self) -> int:
         return sum(slot is not None for slot in self.slots)
+
+
+def check_sample(schema: DatasetSchema, s: MaskedSample) -> None:
+    """Raise a ValueError naming `s` if `schema` cannot hold it."""
+    sid, r = s.sample_id, schema.payload_width
+    if not (isinstance(sid, str) and len(sid.encode("utf-8")) <= 0xFFFF):
+        raise ValueError(f"sample id {sid!r} is not a str of at most 65535 UTF-8 bytes")
+    if len(s.slots) != schema.num_modalities:
+        raise ValueError(f"sample '{sid}' has {len(s.slots)} slots, not {schema.num_modalities}")
+    if not (is_int(s.label) and 0 <= s.label < schema.num_classes):
+        raise ValueError(f"label {s.label!r} of sample '{sid}' is not a class of the schema")
+    if all(slot is None for slot in s.slots):
+        raise ValueError(f"sample '{sid}' has every modality missing")
+    for i, slot in enumerate(s.slots):
+        if slot is None:
+            continue
+        if schema.is_bag(i) and not isinstance(slot, list):
+            raise ValueError(f"bag modality {i} of sample '{sid}' is not a list of instances")
+        if schema.is_bag(i) and not slot:
+            raise ValueError(f"sample '{sid}' has an empty instance bag")
+        for x in slot if schema.is_bag(i) else [slot]:
+            if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf" and x.shape == (r,)):
+                raise ValueError(f"payload of sample '{sid}' is not a real array of shape ({r},)")
+            if not np.isfinite(x).all():
+                raise ValueError(f"payload of sample '{sid}' holds non-finite values")
 
 
 def check_generate_args(schema: DatasetSchema, n: int, class_sep, noise_sigma,
@@ -207,6 +236,9 @@ def apply_missingness(
 
 def to_set(ms: MaskedSample, schema: DatasetSchema) -> SetObservation:
     """Observed (payload, modality) pairs in ascending modality order."""
+    if len(ms.slots) != schema.num_modalities:
+        raise ValueError(f"to_set: sample '{ms.sample_id}' has {len(ms.slots)} slots, "
+                         f"not {schema.num_modalities}")
     elements = [(slot, schema.modality(i)) for i, slot in enumerate(ms.slots) if slot is not None]
     return SetObservation(elements=elements, label=ms.label, sample_id=ms.sample_id)
 
@@ -253,86 +285,53 @@ def missing_fraction(samples: list[MaskedSample]) -> np.ndarray:
 # binary container
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def _check_samples(path, schema: DatasetSchema, samples) -> None:
+    for s in samples:
+        try:
+            check_sample(schema, s)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def save_dataset(path, schema: DatasetSchema, samples: list[MaskedSample]) -> None:
-    for s in samples:  # the same checks as load_dataset, before anything is written
-        if all(slot is None for slot in s.slots):
-            raise DataFormatError(f"{path}: sample '{s.sample_id}' has every modality missing")
-        if any(slot is not None and schema.is_bag(i) and len(slot) == 0
-               for i, slot in enumerate(s.slots)):
-            raise DataFormatError(f"{path}: sample '{s.sample_id}' has an empty instance bag")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        blob = json.dumps(schema.to_dict(), sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(samples)))
-        for s in samples:
-            sid = s.sample_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(sid)))
-            fh.write(sid)
-            fh.write(struct.pack("<i", s.label))
-            fh.write(s.mask.tobytes())
-            for i, slot in enumerate(s.slots):
-                if slot is None:
-                    continue
-                if schema.is_bag(i):
-                    fh.write(struct.pack("<I", len(slot)))
-                    for inst in slot:
-                        _write_array(fh, inst)
-                else:
-                    _write_array(fh, slot)
+    _check_samples(path, schema, samples)  # before anything is written
+    body = [struct.pack("<I", len(samples))]
+    for s in samples:
+        sid = s.sample_id.encode("utf-8")
+        body += [struct.pack("<H", len(sid)), sid, struct.pack("<i", s.label), s.mask.tobytes()]
+        for i, slot in enumerate(s.slots):
+            if slot is None:
+                continue
+            if schema.is_bag(i):
+                body.append(struct.pack("<I", len(slot)))
+            body.extend(x.astype("<f8").tobytes() for x in (slot if schema.is_bag(i) else [slot]))
+    write_container(path, MAGIC, FORMAT_VERSION, schema.to_dict(), b"".join(body))
 
 
 def load_dataset(path) -> tuple[DatasetSchema, list[MaskedSample]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise DataFormatError(f"{path}: not a dataset container (bad magic)")
-    rd = Reader(blob, path, start=4)
-    version = rd.unpack("<I", "format version")
-    if version != FORMAT_VERSION:
-        raise rd.error(f"unsupported dataset format version {version}")
-    header = rd.json_object(rd.unpack("<I", "schema length"), "schema")
+    rd, header = read_container(path, MAGIC, FORMAT_VERSION, "dataset container")
     try:
         schema = DatasetSchema.from_dict(header)
     except (KeyError, TypeError, ValueError) as exc:
         raise rd.error(f"invalid schema ({exc!r})") from exc
     d, r = schema.num_modalities, schema.payload_width
-
-    def payload(sid):
-        x = rd.floats(r, f"payload of sample '{sid}'")
-        if not np.isfinite(x).all():
-            raise rd.error(f"payload of sample '{sid}' holds non-finite values")
-        return x
-
     samples = []
     for _ in range(rd.unpack("<I", "sample count")):
         sid = rd.text(rd.unpack("<H", "sample id length"), "sample id")
         label = rd.unpack("<i", f"label of sample '{sid}'")
-        if not 0 <= label < schema.num_classes:
-            raise rd.error(f"label {label} of sample '{sid}' is not a class of the schema")
-        mask = np.frombuffer(rd.take(d, f"mask of sample '{sid}'"), dtype=np.uint8).copy()
+        mask = np.frombuffer(rd.take(d, f"mask of sample '{sid}'"), dtype=np.uint8)
         if mask.max() > 1:
             raise rd.error(f"mask of sample '{sid}' holds values other than 0 and 1")
-        if mask.all():
-            raise rd.error(f"sample '{sid}' has every modality missing")
         slots = []
         for i in range(d):
             if mask[i]:
                 slots.append(None)
             elif schema.is_bag(i):
                 count = rd.unpack("<I", f"bag size of sample '{sid}'")
-                if count == 0:
-                    raise rd.error(f"sample '{sid}' has an empty instance bag")
-                slots.append([payload(sid) for _ in range(count)])
+                slots.append([rd.floats(r, f"payload of sample '{sid}'") for _ in range(count)])
             else:
-                slots.append(payload(sid))
+                slots.append(rd.floats(r, f"payload of sample '{sid}'"))
         samples.append(MaskedSample(slots=slots, label=label, sample_id=sid))
+    _check_samples(path, schema, samples)
     rd.finish()
     return schema, samples
-

@@ -14,7 +14,7 @@ class NumericError(ArithmeticError):
 
 
 class DataFormatError(ValueError):
-    """A serialized container (dataset or checkpoint) could not be decoded."""
+    """A dataset or checkpoint container could not be encoded or decoded."""
 
 
 class ConfigError(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -78,10 +79,39 @@ def test_unsupported_version_rejected(tmp_path):
     (b"{not json", "not valid JSON"),
     (b"\xff\xfe", "not UTF-8"),
     (b"[1, 2]", "not a JSON object"),
-    (b'{"format_tag": "other"}', "format tag"),
 ])
 def test_malformed_header_rejected(tmp_path, header, match):
     path = tmp_path / "bad.sfck"
     path.write_bytes(_header_bytes(header) + struct.pack("<I", 0))
     with pytest.raises(DataFormatError, match=match):
         load_checkpoint(path)
+
+
+def test_bytes_differ_from_the_old_format_only_by_the_dropped_header_keys(tmp_path):
+    """Old files carried `format_tag` and `format_version` in the header; they still load."""
+    old_keys = {"format_tag": "setfusion-checkpoint", "format_version": 1}
+    tensors = {"w": np.arange(6.0).reshape(2, 3) - 2.5, "b": np.array([0.25, -1.0]),
+               "s": np.array(3.0)}
+    path = tmp_path / "old.sfck"
+    save_checkpoint(path, {"frozen": True, "aggregator": "mean", **old_keys}, tensors)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f74ef96cb423e5a59d7c92532448374d20532fdd1a5fbc828a63d49a19a78a5b")
+    header, loaded = load_checkpoint(path)
+    assert header == {"frozen": True, "aggregator": "mean", **old_keys}
+    assert all(loaded[name].tobytes() == arr.tobytes() for name, arr in tensors.items())
+    save_checkpoint(path, {"frozen": True}, tensors)
+    assert b"format_" not in path.read_bytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_array_rejected_on_save_and_on_load(tmp_path, value):
+    path = tmp_path / "model.sfck"
+    with pytest.raises(DataFormatError, match="tensor 'w' holds non-finite values") as info:
+        save_checkpoint(path, {}, {"b": np.zeros(2), "w": np.array([1.0, value])})
+    assert str(path) in str(info.value)
+    assert not path.exists()
+    record = b"".join([struct.pack("<HcBI", 1, b"w", 1, 2), np.array([1.0, value]).tobytes()])
+    path.write_bytes(_header_bytes(b"{}") + struct.pack("<I", 1) + record)
+    with pytest.raises(DataFormatError, match="tensor 'w' holds non-finite values") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)

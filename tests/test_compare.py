@@ -94,13 +94,14 @@ def test_assertion_margin_must_be_finite_and_non_negative(margin):
 def test_run_scenario_model_resolves_the_model_once(monkeypatch):
     calls = []
     original = compare._model_kind
+    scenario = tiny_scenario()  # building it resolves its models once
 
     def counting(model, scenario):
         calls.append(model)
         return original(model, scenario)
 
     monkeypatch.setattr(compare, "_model_kind", counting)
-    run_scenario_model(tiny_scenario(), "unimodal_0", 0, TINY)
+    run_scenario_model(scenario, "unimodal_0", 0, TINY)
     assert calls == ["unimodal_0"]
 
 
@@ -147,9 +148,8 @@ def test_baseline_in_a_three_class_scenario_rejected_before_any_run(monkeypatch)
         raise AssertionError("setfusion trained before the baseline was checked")
 
     monkeypatch.setattr(compare, "run_full", no_run)
-    scenario = tiny_scenario(num_classes=3, models=("setfusion", "zero_fill"))
     with pytest.raises(ConfigError, match="'zero_fill' needs a two-class schema"):
-        scenario_compare([scenario], [0], TINY)
+        tiny_scenario(num_classes=3, models=("setfusion", "zero_fill"))
 
 
 @pytest.mark.parametrize("model, expected", [
@@ -173,14 +173,23 @@ def test_unimodal_model_needs_a_modality_index_of_the_scenario(model, expected):
     ({"class_sep": 0.0}, "class_sep must be finite and positive"),
     ({"noise_sigma": [0.5]}, "1 noise sigmas for 2 modalities"),
     ({"num_classes": 1, "models": ("setfusion",)}, "num_classes must be >= 2, got 1"),
-], ids=["rate", "mechanism", "no_k", "k", "bags", "n", "class_sep", "sigmas", "classes"])
+    ({"payload_width": 2.5}, "payload_width must be an integer, got 2.5"),
+], ids=["rate", "mechanism", "no_k", "k", "bags", "n", "class_sep", "sigmas", "classes",
+        "width"])
 def test_bad_scenario_value_rejected_before_the_first_run(overrides, expected):
-    calls = []
-    scenarios = [tiny_scenario(name="good"), tiny_scenario(name="bad", **overrides)]
+    tiny_scenario(name="good")
     with pytest.raises(ConfigError) as err:
-        scenario_compare(scenarios, [0], TINY, progress=calls.append)
+        tiny_scenario(name="bad", **overrides)
     assert str(err.value).startswith(f"scenario 'bad': {expected}")
-    assert calls == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scenario.from_dict({"name": "bad", "missing_rate": 0.9, "k": 1, "mechanism": "x"}),
+    lambda: dataclasses.replace(tiny_scenario(name="bad"), mechanism="x"),
+], ids=["from_dict", "replace"])
+def test_every_way_of_building_a_scenario_checks_its_values(build):
+    with pytest.raises(ConfigError, match="scenario 'bad': unknown mechanism 'x'"):
+        build()
 
 
 def test_run_scenario_model_checks_the_scenario_values_before_data_is_generated(monkeypatch):
@@ -188,9 +197,9 @@ def test_run_scenario_model_checks_the_scenario_values_before_data_is_generated(
         raise AssertionError("data generated for a bad scenario")
 
     monkeypatch.setattr(compare, "generate", no_data)
-    scenario = Scenario(name="bad", n=20, payload_width=4, missing_rate=2.0)
     with pytest.raises(ConfigError) as err:
-        run_scenario_model(scenario, "unimodal_0", 0, TINY)
+        run_scenario_model(Scenario(name="bad", n=20, payload_width=4, missing_rate=2.0),
+                           "unimodal_0", 0, TINY)
     assert str(err.value) == "scenario 'bad': missing rate must be in [0, 1), got 2.0"
 
 

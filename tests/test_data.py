@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -47,6 +49,17 @@ def container(schema: DatasetSchema, records) -> bytes:
     return out
 
 
+def record(schema: DatasetSchema, s: MaskedSample) -> tuple:
+    """`s` as a `container` record, encoded without any of the sample rules."""
+    body = b""
+    for i, slot in enumerate(s.slots):
+        if slot is not None and schema.is_bag(i):
+            body += struct.pack("<I", len(slot)) + b"".join(x.tobytes() for x in slot)
+        elif slot is not None:
+            body += slot.tobytes()
+    return s.sample_id, s.label, [int(slot is None) for slot in s.slots], body
+
+
 class TestSchema:
     @pytest.mark.parametrize("num_classes", [0, 1])
     def test_fewer_than_two_classes_rejected(self, num_classes):
@@ -64,6 +77,20 @@ class TestSchema:
     def test_roundtrip_dict(self):
         s = schema2(bags=(1,))
         assert DatasetSchema.from_dict(s.to_dict()) == s
+
+    @pytest.mark.parametrize("args, match", [
+        ((2, ["a", "b"], 2.5, 2), "payload_width must be an integer, got 2.5"),
+        ((True, ["a"], 2, 2), "num_modalities must be an integer, got True"),
+        ((2, ["a", "b"], 2, "2"), "num_classes must be an integer, got '2'"),
+        ((2, "ab", 2, 2), "modality_names must be a list of str"),
+        ((2, ("a", "b"), 2, 2), "modality_names must be a list of str"),
+        ((2, ["a", 1], 2, 2), "modality_names must be a list of str"),
+        ((2, ["a", "b"], 2, 2, (True,)), "bag modality index True"),
+        ((2, ["a", "b"], 2, 2, (1.0,)), "bag modality index 1.0"),
+    ])
+    def test_field_types_checked(self, args, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            DatasetSchema(*args)
 
 
 class TestGenerate:
@@ -224,6 +251,12 @@ class TestMissingness:
 
 
 class TestToSet:
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_wrong_slot_count_rejected(self, slots):
+        sample = MaskedSample(slots=[np.zeros(2)] * slots, label=0, sample_id="s7")
+        with pytest.raises(ValueError, match=f"sample 's7' has {slots} slots, not 2"):
+            to_set(sample, schema2(r=2))
+
     def test_complete_sample_keeps_all_modalities(self):
         s = schema3()
         masked = apply_missingness(generate(s, n=1, seed=16), rate=0.0)
@@ -367,6 +400,14 @@ class TestContainer:
         (b'{"num_modalities": 2}', "invalid schema"),
         (b'{"num_modalities": 0, "modality_names": [], "payload_width": 2, "num_classes": 2}',
          "invalid schema"),
+        (b'{"num_modalities": 2, "modality_names": ["a", "b"], "payload_width": 2.7, '
+         b'"num_classes": 2}', "payload_width must be an integer, got 2.7"),
+        (b'{"num_modalities": 2, "modality_names": ["a", "b"], "payload_width": 2, '
+         b'"num_classes": "2"}', "num_classes must be an integer, got '2'"),
+        (b'{"num_modalities": 2, "modality_names": "ab", "payload_width": 2, "num_classes": 2}',
+         "modality_names must be a list of str"),
+        (b'{"num_modalities": 2, "modality_names": ["a", "b"], "payload_width": 2, '
+         b'"num_classes": 2, "bag_modalities": [true]}', "bag modality index True"),
     ])
     def test_malformed_schema_rejected(self, tmp_path, schema, match):
         path = tmp_path / "bad.sfds"
@@ -404,38 +445,78 @@ class TestContainer:
         target = bad.slots[modality] if modality == 0 else bad.slots[modality][-1]
         target[2] = value
         path = tmp_path / "data.sfds"
-        save_dataset(path, s, masked)
+        with pytest.raises(DataFormatError, match="non-finite") as info:
+            save_dataset(path, s, masked)
+        assert str(path) in str(info.value) and f"'{bad.sample_id}'" in str(info.value)
+        assert not path.exists()
+        path.write_bytes(container(s, [record(s, m) for m in masked]))
         with pytest.raises(DataFormatError, match="non-finite") as info:
             load_dataset(path)
         assert str(path) in str(info.value) and f"'{bad.sample_id}'" in str(info.value)
 
-    def test_fully_missing_sample_names_file_and_sample(self, tmp_path):
-        path = tmp_path / "data.sfds"
-        path.write_bytes(container(schema2(r=2), [("s1", 0, (1, 1), b"")]))
-        with pytest.raises(DataFormatError, match="every modality missing") as info:
-            load_dataset(path)
-        assert str(path) in str(info.value) and "'s1'" in str(info.value)
-
-    def test_empty_instance_bag_names_file_and_sample(self, tmp_path):
-        payload = np.zeros(2).tobytes()
-        path = tmp_path / "data.sfds"
-        path.write_bytes(container(schema2(r=2, bags=(1,)),
-                                   [("s1", 0, (0, 0), payload + struct.pack("<I", 0))]))
-        with pytest.raises(DataFormatError, match="empty instance bag") as info:
-            load_dataset(path)
-        assert str(path) in str(info.value) and "'s1'" in str(info.value)
-
-    def test_save_rejects_what_load_rejects_and_writes_nothing(self, tmp_path):
+    @pytest.mark.parametrize("change, match, encodable", [
+        pytest.param({"label": 5}, "label 5 of sample 's1' is not a class", True, id="label_5"),
+        pytest.param({"label": 1.5}, "label 1.5 of sample 's1' is not a class", False,
+                     id="label_1.5"),
+        pytest.param({"slots": [np.zeros(3), [np.ones(2)]]}, r"not a real array of shape \(2,\)",
+                     False, id="width_3"),
+        pytest.param({"slots": [np.array([0.0, np.nan]), [np.ones(2)]]}, "non-finite", True,
+                     id="nan_payload"),
+        pytest.param({"slots": [np.zeros(2), [np.ones(2), np.array([np.inf, 0.0])]]},
+                     "non-finite", True, id="inf_bag_instance"),
+        pytest.param({"slots": [np.zeros(2), [np.ones(2)], np.zeros(2)]}, "3 slots, not 2",
+                     False, id="3_slots"),
+        pytest.param({"slots": [np.zeros(2), np.ones(2)]}, "not a list of instances", False,
+                     id="plain_array_in_bag"),
+        pytest.param({"slots": [np.zeros(2), []]}, "empty instance bag", True, id="empty_bag"),
+        pytest.param({"slots": [None, None]}, "every modality missing", True,
+                     id="every_slot_none"),
+    ])
+    def test_each_sample_rule_rejects_on_save_and_on_load(self, tmp_path, change, match,
+                                                          encodable):
         s = schema2(r=2, bags=(1,))
-        fully_missing, empty_bag = apply_missingness(generate(s, n=2, seed=29), rate=0.0)
-        fully_missing.slots = [None, None]
-        empty_bag.slots[1] = []
-        for sample, match in ((fully_missing, "every modality missing"),
-                              (empty_bag, "empty instance bag")):
-            path = tmp_path / "data.sfds"
-            with pytest.raises(DataFormatError, match=match):
-                save_dataset(path, s, [sample])
-            assert not path.exists()
+        good = MaskedSample(slots=[np.zeros(2), [np.ones(2)]], label=0, sample_id="s0")
+        bad = dataclasses.replace(good, sample_id="s1", **change)
+        path = tmp_path / "data.sfds"
+        with pytest.raises(DataFormatError, match=match) as info:
+            save_dataset(path, s, [good, bad])
+        assert str(path) in str(info.value) and "'s1'" in str(info.value)
+        assert not path.exists()
+        if encodable:  # the layout can hold the bad value, so the reader must catch it too
+            path.write_bytes(container(s, [record(s, good), record(s, bad)]))
+            with pytest.raises(DataFormatError, match=match) as info:
+                load_dataset(path)
+            assert str(path) in str(info.value) and "'s1'" in str(info.value)
+
+    @pytest.mark.parametrize("sample_id", ["x" * 65536, 7])
+    def test_sample_id_the_layout_cannot_hold_rejected_on_save(self, tmp_path, sample_id):
+        path = tmp_path / "data.sfds"
+        sample = MaskedSample(slots=[np.zeros(2), None], label=0, sample_id=sample_id)
+        with pytest.raises(DataFormatError, match="at most 65535 UTF-8 bytes"):
+            save_dataset(path, schema2(r=2), [sample])
+        assert not path.exists()
+
+    def test_bytes_are_pinned(self, tmp_path):
+        """The sha256 of a fixed dataset with a bag modality, missing slots and a non-ASCII id."""
+        s = DatasetSchema(3, ["img", "txt", "tab"], payload_width=2, num_classes=3,
+                          bag_modalities=(1,))
+
+        def v(*x):
+            return np.array(x, dtype=np.float64)
+
+        samples = [
+            MaskedSample([v(0.5, -1.25), [v(1.0, 2.0), v(-3.5, 0.0)], v(1e-300, 7.0)], 0, "a0"),
+            MaskedSample([None, [v(4.0, 4.5)], None], 2, "b1"),
+            MaskedSample([v(-0.0, 3.0), None, v(9.75, -2.5)], 1, "\u00fc2"),
+        ]
+        path = tmp_path / "pin.sfds"
+        save_dataset(path, s, samples)
+        blob = path.read_bytes()
+        assert len(blob) == 293
+        assert hashlib.sha256(blob).hexdigest() == (
+            "640896ae6eb5c9bba661c5f97b7d429ea92146e2cdbf7d215b29c2cb3c75ffc9")
+        schema_back, loaded = load_dataset(path)
+        assert schema_back == s and [b.sample_id for b in loaded] == ["a0", "b1", "\u00fc2"]
 
     def test_schema_with_one_class_rejected_on_load(self, tmp_path):
         header = schema2(r=2).to_dict()
