@@ -65,7 +65,7 @@ class Reader:
 
 
 def write_container(path, magic: bytes, version: int, header: dict, body: bytes) -> None:
-    """One write of the whole file, so a body that fails to build leaves no file."""
+    """Open `path` only once `body` is built, and write the whole file at once."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<II", version, len(blob)) + blob + body)
