@@ -33,10 +33,8 @@ from .setnet import (
 )
 from .tensor import (
     Tensor,
-    add,
     backward,
     dense_stack,
-    mse,
     no_grad,
     reduce,
     row,

@@ -65,8 +65,13 @@ class Reader:
 
 
 def write_container(path, magic: bytes, version: int, header: dict, body: bytes) -> None:
-    """Open `path` only once `body` is built, and write the whole file at once."""
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    """Open `path` only once `body` and the header are encoded, and write
+    the whole file at once; a header JSON cannot encode raises
+    `DataFormatError` naming `path`, before the file is opened."""
+    try:
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: header cannot be written as JSON ({exc})") from exc
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<II", version, len(blob)) + blob + body)
 

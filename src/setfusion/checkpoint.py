@@ -18,6 +18,7 @@ from .errors import DataFormatError
 
 MAGIC = b"SFCK"
 FORMAT_VERSION = 1
+_MAX_NAME_BYTES = 0xFFFF  # a name's length is a <H
 
 
 def _check_finite(path, name: str, arr: np.ndarray) -> None:
@@ -27,10 +28,17 @@ def _check_finite(path, name: str, arr: np.ndarray) -> None:
 
 def save_checkpoint(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
     body = [struct.pack("<I", len(arrays))]
-    for name in sorted(arrays):
+    names = list(arrays)
+    for name in names:
+        if not isinstance(name, str):
+            raise DataFormatError(f"{path}: tensor name {name!r} is not a str")
+    for name in sorted(names):
         arr = np.asarray(arrays[name], dtype="<f8")  # tobytes() writes C order; 0-d stays 0-d
         _check_finite(path, name, arr)
         encoded = name.encode("utf-8")
+        if len(encoded) > _MAX_NAME_BYTES:
+            raise DataFormatError(f"{path}: tensor name of {len(encoded)} UTF-8 bytes is longer "
+                                  f"than the {_MAX_NAME_BYTES} the layout can hold")
         body.append(struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", arr.ndim))
         body.extend(struct.pack("<I", dim) for dim in arr.shape)
         body.append(arr.tobytes())

@@ -117,7 +117,7 @@ def load_config(path) -> TrainConfig:
 
 
 def default_config_text() -> str:
-    return resources.files("setfusion").joinpath("configs/default.ini").read_text()
+    return resources.files(__package__).joinpath("configs/default.ini").read_text()
 
 
 def default_config() -> TrainConfig:

@@ -56,6 +56,11 @@ class DatasetSchema:
         for i in self.bag_modalities:
             if not (is_int(i) and 0 <= i < self.num_modalities):
                 raise ValueError(f"bag modality index {i!r} out of range")
+        # plain ints, so that a numpy integer given here still writes as JSON
+        self.num_modalities = int(self.num_modalities)
+        self.payload_width = int(self.payload_width)
+        self.num_classes = int(self.num_classes)
+        self.bag_modalities = tuple(int(i) for i in self.bag_modalities)
 
     def modality(self, index: int) -> ModalityId:
         return ModalityId(index=index, name=self.modality_names[index])

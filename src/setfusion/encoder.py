@@ -5,30 +5,45 @@ payload to intermediate features z; the hypernetwork-conditioned layer
 maps z to the latent e used downstream. During the first training
 stage two auxiliary heads make the latents informative: a decoder that
 reconstructs z from e and a per-modality class predictor.
+
+A stage-1 item is one graph node: `phase1_forward` runs backbone,
+generator, generated layer, decoder and classifier through the engine's
+array helpers, keeping each layer's arrays, and `phase1_loss` adds both
+loss terms and records the node, whose backward runs the same helpers
+in reverse. Values and gradients are bitwise those of the node-by-node
+graph (kept in the tests as the reference). A stack of payloads runs the
+same forward row-wise for a validation pass. φ (`phi_forward`) is one
+`dense_stack` over the backbone and the generated layer.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .hypernet import HyperNetwork
 from .nn import MLP, Dense, aggregate, parameters
 from .rng import SeededRng
 from .tensor import (
     Tensor,
-    add,
     as_tensor,
+    check_finite,
+    cross_entropy_backward,
+    cross_entropy_forward,
+    dense_backward,
+    dense_forward,
     dense_stack,
+    fused_node,
     grad_enabled,
     is_int,
-    mse,
+    mse_backward,
+    mse_forward,
     no_grad,
-    softmax_cross_entropy,
 )
 
 # EncoderConfig field -> its least value; every field is an integer
@@ -58,10 +73,18 @@ class EncoderConfig:
 
 
 class Phase1Output(NamedTuple):
+    """The stage-1 values of one payload, or of each row of a (k, r) stack,
+    as constants. A recorded forward also carries what `phase1_loss`
+    builds its node from: `backward(g_rec, g_pred)` pushes the gradients
+    at z_rec and y_pred through the item into `parents`, the payload and
+    every encoder parameter."""
+
     z: Tensor
     e: Tensor
     z_rec: Tensor
     y_pred: Tensor
+    backward: Callable[[np.ndarray, np.ndarray], None] | None = None
+    parents: tuple[Tensor, ...] = ()
 
 
 class Encoder:
@@ -80,6 +103,8 @@ class Encoder:
         )
         self.decoder = MLP([cfg.d_l, cfg.decoder_hidden, cfg.d_z], rng, "encoder/decoder")
         self.uniclassifier = Dense(cfg.d_l, cfg.num_classes, rng, "encoder/uniclassifier")
+        self._classifier = [(self.uniclassifier.weight, self.uniclassifier.bias)]
+        self._params = tuple(self.named_parameters().values())
 
     def _width_error(self, shape) -> ShapeError:
         return ShapeError(f"encoder expects payload width {self.cfg.input_width}, got shape {shape}")
@@ -122,10 +147,44 @@ class Encoder:
         return dense_stack(x, self._phi_layers(m))
 
     def phase1_forward(self, x, m) -> Phase1Output:
-        x = self._check_input(x)
-        z = self.backbone(x)
-        e = self.hypernet.conditional_linear(z, m)
-        return Phase1Output(z=z, e=e, z_rec=self.decoder(e), y_pred=self.uniclassifier(e))
+        """Backbone -> z -> generated layer -> e -> decoder (z_rec) and
+        unimodal classifier (y_pred), each dense layer's shapes checked and
+        its pre-activation probed as `dense_stack` does. x is one payload
+        or, in a call that records nothing, a (k, r) stack, row i bitwise
+        payload i alone. A recorded call keeps every layer's arrays, so
+        that `phase1_loss` makes the whole item one graph node."""
+        x = as_tensor(x)
+        if x.data.ndim not in (1, 2) or x.shape[-1] != self.cfg.input_width:
+            raise self._width_error(x.shape)
+        record = grad_enabled() and (x.requires_grad or any(p.requires_grad for p in self._params))
+        if record and x.data.ndim == 2:
+            raise ContractError("phase1_forward: a (k, r) stack takes gradient; "
+                                "only one payload is recorded")
+        bb, gen, cond, dec, cls = ([], [], [], [], []) if record else (None,) * 5
+        z = dense_forward(x.data, self.backbone.pairs, True, bb, x.requires_grad)
+        idx = self.hypernet.index(m)
+        weight, bias, g_layer = self.hypernet.generated_layer(idx, gen)
+        layer = [(weight, bias)]
+        # z and e are taken to need gradient whenever the item records: for
+        # a part of the encoder that takes none, that costs only arithmetic
+        e = dense_forward(z, layer, steps=cond, need=True)
+        z_rec = dense_forward(e, self.decoder.pairs, steps=dec, need=True)
+        y_pred = dense_forward(e, self._classifier, steps=cls, need=True)
+        out = [fused_node(a) for a in (z, e, z_rec, y_pred)]
+        if not record:
+            return Phase1Output(*out)
+
+        def backward(g_rec, g_pred):
+            # e's gradient sums the classifier's and then the decoder's,
+            # as `backward` summed them when each head was its own node
+            g_e = (dense_backward(g_pred, self._classifier, cls)
+                   + dense_backward(g_rec, self.decoder.pairs, dec))
+            g_z = dense_backward(g_e, layer, cond)
+            if g_layer is not None:
+                self.hypernet.generated_backward(idx, g_layer, gen)
+            dense_backward(g_z, self.backbone.pairs, bb, into=x)
+
+        return Phase1Output(*out, backward=backward, parents=(x, *self._params))
 
     def pool_instances(self, bags, m) -> list[Tensor]:
         """The elementwise max over the latent features of each bag of payloads.
@@ -158,14 +217,27 @@ class Encoder:
         return parameters(self.backbone, self.hypernet, self.decoder, self.uniclassifier)
 
 
-def phase1_loss(out: Phase1Output, y: int) -> Tensor:
+def phase1_loss(out: Phase1Output, y) -> Tensor:
     """Reconstruction + unimodal classification loss for stage 1, unweighted.
 
-    z always enters the reconstruction term as a detached constant, so
-    the gradient shapes the decoder output rather than dragging the
-    backbone toward its own reconstruction.
+    z always enters the reconstruction term as a constant, so the
+    gradient shapes the decoder output rather than dragging the backbone
+    toward its own reconstruction. Of a recorded `out`, the loss is one
+    node over the whole item, its value and gradients bitwise those of
+    the mse, cross-entropy and add nodes over separate layer nodes. Of a
+    (k, ·) stack, y lists the k classes and the loss is one per row.
     """
-    return add(mse(out.z.detach(), out.z_rec), softmax_cross_entropy(out.y_pred, y))
+    rec, diff = mse_forward(out.z.data, out.z_rec.data)
+    ce, exps, total = cross_entropy_forward(out.y_pred.data, y)
+    loss = rec + ce
+    check_finite(loss, "add")
+    if out.backward is None:
+        return fused_node(loss)
+
+    def bwd(g):
+        out.backward(-mse_backward(g, diff), cross_entropy_backward(g, exps, total, y))
+
+    return fused_node(loss, out.parents, bwd)
 
 
 def parameter_checksum(named_params: dict[str, Tensor]) -> str:

@@ -15,7 +15,19 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .nn import Dense, parameters
 from .rng import SeededRng, glorot_uniform
-from .tensor import Tensor, dense_stack, is_int, linear, row, segment
+from .tensor import (
+    Tensor,
+    check_finite,
+    dense_backward,
+    dense_forward,
+    dense_stack,
+    is_int,
+    linear,
+    row,
+    row_backward,
+    segment,
+    split_leaves,
+)
 
 
 def _as_index(value) -> int:
@@ -61,6 +73,9 @@ class HyperNetwork:
         )
         self.trunk = Dense(embed_dim, hidden, rng, "hypernet/trunk")
         self.head = Dense(hidden, d_l * d_z + d_l, rng, "hypernet/head")
+        # the generator: embedding row -> trunk -> relu -> head
+        self.generator = [(self.trunk.weight, self.trunk.bias), (self.head.weight, self.head.bias)]
+        self._generator_params = (self.embedding, *(t for pair in self.generator for t in pair))
 
     def index(self, m) -> int:
         """The dense index of a ModalityId or a plain integer, checked
@@ -79,14 +94,38 @@ class HyperNetwork:
         `dense_stack` node), not copies.
         """
         idx = self.index(m)
-        flat = dense_stack(
-            row(self.embedding, idx),
-            [(self.trunk.weight, self.trunk.bias), (self.head.weight, self.head.bias)],
-        )
+        flat = dense_stack(row(self.embedding, idx), self.generator)
         split = self.d_l * self.d_z
         weight = segment(flat, 0, split, (self.d_l, self.d_z))
         bias = segment(flat, split, split + self.d_l, (self.d_l,))
         return weight, bias
+
+    def generated_layer(self, idx: int, steps: list | None = None):
+        """`generate_weights` of modality index `idx` for a node that runs
+        its own backward: the generator on arrays, its output split into
+        weight and bias leaves (`split_leaves`).
+
+        With `steps`, and a generator parameter that takes gradient, the
+        generator is recorded into `steps` and the third value returned is
+        the array the leaves' gradients add into, for `generated_backward`;
+        it is None otherwise.
+        """
+        x = self.embedding.data[idx].copy()  # as `row` copies
+        check_finite(x, "row")
+        if steps is not None and not any(t.requires_grad for t in self._generator_params):
+            steps = None
+        flat = dense_forward(x, self.generator, steps=steps, need=self.embedding.requires_grad)
+        split = self.d_l * self.d_z
+        (weight, bias), grad = split_leaves(flat, [(self.d_l, self.d_z), (self.d_l,)],
+                                            steps is not None)
+        return weight, bias, grad
+
+    def generated_backward(self, idx: int, grad, steps: list) -> None:
+        """Push the gradient `generated_layer` left in `grad` through the
+        generator into its parameters and row `idx` of the embedding."""
+        g = dense_backward(grad, self.generator, steps)
+        if g is not None:
+            row_backward(self.embedding, idx, g)
 
     def conditional_linear(self, z: Tensor, m) -> Tensor:
         """Apply the generated modality-specific layer: W_m z + b_m."""

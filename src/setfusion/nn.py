@@ -79,10 +79,10 @@ class MLP:
         self.layers = [
             Dense(widths[i], widths[i + 1], rng, f"{name}/{i}") for i in range(len(widths) - 1)
         ]
+        self.pairs = [(layer.weight, layer.bias) for layer in self.layers]  # as dense_stack takes them
 
     def __call__(self, x: Tensor) -> Tensor:
-        return dense_stack(x, [(layer.weight, layer.bias) for layer in self.layers],
-                           self.final_relu)
+        return dense_stack(x, self.pairs, self.final_relu)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return parameters(*self.layers)

@@ -24,7 +24,7 @@ from .errors import ContractError
 from .hypernet import ModalityId
 from .nn import AGGREGATOR_KINDS, MLP, aggregate
 from .rng import SeededRng
-from .tensor import Tensor, no_grad, softmax, softmax_cross_entropy
+from .tensor import Tensor, dense_cross_entropy, no_grad, softmax
 
 
 @dataclass
@@ -77,6 +77,12 @@ class SetClassifier(MLP):
 
     rho = MLP.__call__
 
+    def rho_loss(self, latent: Tensor, label) -> Tensor:
+        """Cross-entropy of `rho(latent)` against `label` as one graph node
+        (`dense_cross_entropy`). Under `no_grad` the latent may be a (k, d_l)
+        stack and `label` a sequence of k classes: one loss per row."""
+        return dense_cross_entropy(latent, self.pairs, label)
+
 
 def pool_set(enc: Encoder, obs: SetObservation, aggregator: str) -> Tensor:
     """The aggregated latent of one set observation: pool of phi over its elements."""
@@ -126,4 +132,4 @@ def phase2_loss(model: SetClassifier, enc: Encoder, obs: SetObservation) -> Tens
     """Cross-entropy of one labeled set observation against its `label`."""
     if obs.label is None:
         raise ContractError(f"unlabeled observation '{obs.sample_id}' in training")
-    return softmax_cross_entropy(f_forward(model, enc, obs), obs.label)
+    return model.rho_loss(pool_set(enc, obs, model.aggregator), obs.label)

@@ -7,10 +7,16 @@ encoder, encodes the train and validation sets once into their pooled
 latents (`pool_sets`: one stacked φ call per modality), and optimizes
 only the classifier head on those fixed vectors. Both stages share one
 loop: shuffled per-item Adam steps, per-epoch validation, early
-stopping on the validation loss with best-weight restore. A joint
-single-stage mode trains encoder and classifier together for ablation
-comparisons. φ is one dense stack, trainable or frozen; freezing only
-caches each modality's generated conditional layer. Either way
+stopping on the validation loss with best-weight restore. Each item is
+one graph node (`phase1_loss` over the whole encoder; `rho_loss`, ρ and
+the cross-entropy), and each validation epoch is one stacked pass: one
+row-wise forward per modality in stage 1, one ρ pass in stage 2, each
+row bitwise the item's own loss. A joint single-stage mode trains
+encoder and classifier together for ablation comparisons; its
+validation pools the sets with `pool_sets` on the trainable encoder,
+generating each modality's layer once per pass. φ is one dense stack,
+trainable or frozen; freezing only caches each modality's generated
+conditional layer. Either way
 `run_full` returns a frozen encoder, so no prediction after training
 runs the hypernetwork again, and `evaluate_sets` scores the whole test
 split in one stacked ρ pass.
@@ -31,7 +37,7 @@ from .nn import AGGREGATOR_KINDS, parameters
 from .optim import Adam, check_lr
 from .rng import SeededRng
 from .setnet import SetClassifier, SetObservation, phase2_loss, pool_sets
-from .tensor import Tensor, is_int, no_grad, softmax, softmax_cross_entropy, stack
+from .tensor import Tensor, is_int, no_grad, softmax, stack
 
 # TrainConfig integer field -> its least value
 _INT_FIELDS = {"seed": 0, "patience": 1, "max_epochs_phase1": 1, "max_epochs_phase2": 1,
@@ -168,11 +174,15 @@ def train_loop(
     max_epochs: int,
     shuffle_rng: SeededRng,
     phase_name: str,
+    list_loss=None,
 ) -> PhaseReport:
     """Shared epoch loop: shuffle, one Adam step per item, early stop, restore.
 
-    Stops once `cfg.patience` epochs pass without a strict val-loss
-    decrease (epoch 1 always sets the best); restores the best weights.
+    The validation loss is the mean of `list_loss(val_items)`, the loss of
+    each validation item in one call under `no_grad`; by default one
+    `item_loss` call per item. Stops once `cfg.patience` epochs pass
+    without a strict val-loss decrease (epoch 1 always sets the best);
+    restores the best weights.
     """
     if not train_items:
         raise ValueError(f"{phase_name}: empty training stream")
@@ -192,7 +202,8 @@ def train_loop(
             epoch_losses.append(loss.item())
         train_loss = float(np.mean(epoch_losses))
         with no_grad():
-            val_loss = float(np.mean([item_loss(item).item() for item in val_items]))
+            val_loss = float(np.mean(list_loss(val_items) if list_loss
+                                     else [item_loss(item).item() for item in val_items]))
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise NumericError(f"{phase_name}: non-finite loss at epoch {epoch}")
         report.train_losses.append(train_loss)
@@ -220,12 +231,23 @@ def train_phase1(
         x, m, y = item
         return phase1_loss(enc.phase1_forward(x, m), y)
 
+    def list_loss(items):
+        # one stacked forward per modality; row i is bitwise its item's loss
+        losses = np.empty(len(items))
+        by_modality: dict = {}
+        for i, (_, m, _) in enumerate(items):
+            by_modality.setdefault(m, []).append(i)
+        for m, rows in by_modality.items():
+            out = enc.phase1_forward(stack([items[i][0] for i in rows]), m)
+            losses[rows] = phase1_loss(out, [items[i][2] for i in rows]).data
+        return losses
+
     def as_tensors(items):  # once per call, not once per item per epoch
         return [(Tensor(x), m, y) for x, m, y in items]
 
     return train_loop(
         enc.named_parameters(), item_loss, as_tensors(train_items), as_tensors(val_items), cfg,
-        cfg.max_epochs_phase1, SeededRng((cfg.seed, "shuffle_phase1")), "phase1",
+        cfg.max_epochs_phase1, SeededRng((cfg.seed, "shuffle_phase1")), "phase1", list_loss,
     )
 
 
@@ -253,11 +275,15 @@ def train_phase2(
 
     def item_loss(item):
         latent, y = item
-        return softmax_cross_entropy(model.rho(latent), y)
+        return model.rho_loss(latent, y)
+
+    def list_loss(items):
+        latents, labels = zip(*items)
+        return model.rho_loss(stack(latents), labels).data
 
     return train_loop(
         model.named_parameters(), item_loss, encode(train_sets), encode(val_sets), cfg,
-        cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_phase2")), "phase2",
+        cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_phase2")), "phase2", list_loss,
     )
 
 
@@ -282,9 +308,15 @@ def train_joint(
     def item_loss(obs):
         return phase2_loss(model, enc, obs)
 
+    def list_loss(sets):
+        # pooled on the trainable encoder in one pass, each modality's
+        # conditional layer generated once, and scored in one stacked ρ pass
+        latents = pool_sets(enc, sets, model.aggregator)
+        return model.rho_loss(stack(latents), [obs.label for obs in sets]).data
+
     return train_loop(
         params, item_loss, train_sets, val_sets, cfg,
-        cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_joint")), "joint",
+        cfg.max_epochs_phase2, SeededRng((cfg.seed, "shuffle_joint")), "joint", list_loss,
     )
 
 

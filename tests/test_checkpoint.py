@@ -115,3 +115,24 @@ def test_non_finite_array_rejected_on_save_and_on_load(tmp_path, value):
     with pytest.raises(DataFormatError, match="tensor 'w' holds non-finite values") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("name, match", [
+    (3, "tensor name 3 is not a str"),
+    (b"w", "tensor name b'w' is not a str"),
+    ("w" * 65536, "tensor name of 65536 UTF-8 bytes is longer than the 65535"),
+    ("é" * 32768, "tensor name of 65536 UTF-8 bytes is longer than the 65535"),
+])
+def test_a_name_the_layout_cannot_hold_rejected_on_save(tmp_path, name, match):
+    path = tmp_path / "model.sfck"
+    with pytest.raises(DataFormatError, match=match) as info:
+        save_checkpoint(path, {}, {"b": np.zeros(2), name: np.zeros(1)})
+    assert str(info.value).startswith(f"{path}: ")
+    assert not path.exists()
+
+
+def test_the_longest_name_the_layout_holds_round_trips(tmp_path):
+    path = tmp_path / "model.sfck"
+    name = "w" * 65535
+    save_checkpoint(path, {}, {name: np.ones(2)})
+    assert load_checkpoint(path)[1][name].tobytes() == np.ones(2).tobytes()

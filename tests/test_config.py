@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,3 +135,25 @@ def test_every_accepted_form_of_a_field_round_trips(overrides):
     assert type(cfg.lr) is float
     assert type(cfg.rho_hidden) is tuple and all(type(w) is int for w in cfg.rho_hidden)
     assert parse_config(dump_config(cfg)) == cfg
+
+
+def test_default_config_is_read_from_the_importing_package(tmp_path, monkeypatch):
+    """The package's own resources, under whatever name it was imported:
+    a copy of the package imported as another name reads its own file."""
+    import importlib
+    import shutil
+    import sys
+
+    import setfusion
+
+    copy = tmp_path / "setfusion_copy"
+    shutil.copytree(Path(setfusion.__file__).parent, copy)
+    (copy / "configs" / "default.ini").write_text(with_value("run", "lr", "0.0005"))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        config = importlib.import_module("setfusion_copy.config")
+        assert config.default_config_text() != default_config_text()
+        assert config.default_config().lr == 0.0005
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "setfusion_copy"]:
+            del sys.modules[name]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setfusion.binio import write_container
 from setfusion.data import (
     DatasetSchema,
     MaskedSample,
@@ -91,6 +92,16 @@ class TestSchema:
     def test_field_types_checked(self, args, match):
         with pytest.raises(ValueError, match=re.escape(match)):
             DatasetSchema(*args)
+
+    def test_numpy_integers_stored_as_int_and_saved(self, tmp_path):
+        i = np.int64
+        s = DatasetSchema(i(2), ["a", "b"], i(2), i(2), bag_modalities=(i(1),))
+        assert [type(v) for v in (s.num_modalities, s.payload_width, s.num_classes,
+                                  *s.bag_modalities)] == [int] * 4
+        assert s == DatasetSchema(2, ["a", "b"], 2, 2, bag_modalities=(1,))
+        path = tmp_path / "data.sfds"
+        save_dataset(path, s, [MaskedSample(slots=[np.ones(2), None], label=1, sample_id="s0")])
+        assert load_dataset(path)[0] == s
 
 
 class TestGenerate:
@@ -526,3 +537,14 @@ class TestContainer:
         path.write_bytes(b"SFDS" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0))
         with pytest.raises(DataFormatError, match="num_classes"):
             load_dataset(path)
+
+
+class TestWriteContainer:
+    @pytest.mark.parametrize("header", [{"a": np.int64(1)}, {"a": float("nan")} | {"b": object()},
+                                        {(1, 2): 3}])
+    def test_header_json_cannot_encode_rejected_before_the_file_opens(self, tmp_path, header):
+        path = tmp_path / "out.bin"
+        with pytest.raises(DataFormatError, match="header cannot be written as JSON") as info:
+            write_container(path, b"TEST", 1, header, b"")
+        assert str(info.value).startswith(f"{path}: ")
+        assert not path.exists()

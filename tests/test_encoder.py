@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from setfusion.nn import aggregate
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
 from setfusion.setnet import SetClassifier, SetObservation, pool_set, pool_sets, predict_proba
-from setfusion.tensor import Tensor, add, dense_stack, mse, no_grad, reduce, softmax_cross_entropy
+from setfusion.tensor import Tensor, dense_stack, no_grad, reduce, softmax_cross_entropy
 
 from conftest import central_difference, rel_err
+from reference_ops import add, mse, phase1_graph, phase1_graph_loss
 
 
 def _spot_check_params(model, eval_loss, rng, picks_per_param=3, h=1e-5):
@@ -181,25 +184,25 @@ class TestPhase1Loss:
             phase1_loss(out, 2)
 
     @staticmethod
-    def _attached_loss(out, y):
-        # phase1_loss with z left live on the target side of the mse
+    def _attached_loss(enc, x, m, y):
+        # phase1_loss over the node-by-node reference graph, with z left
+        # live on the target side of the mse
+        out = phase1_graph(enc, x, m)
         return add(mse(out.z, out.z_rec), softmax_cross_entropy(out.y_pred, y))
 
     def test_detached_target_blocks_gradient_on_target_side(self):
         enc = make_encoder(seed=10)
         x = SeededRng(11).normal(6)
 
-        out = enc.phase1_forward(x, 0)
-        phase1_loss(out, 0).backward()
-        detached = {n: p.grad.copy() if p.grad is not None else None
-                    for n, p in enc.named_parameters().items()}
+        phase1_loss(enc.phase1_forward(x, 0), 0).backward()
+        detached = {n: p.grad.copy() for n, p in enc.named_parameters().items()}
         for p in enc.named_parameters().values():
             p.zero_grad()
 
-        out = enc.phase1_forward(x, 0)
-        self._attached_loss(out, 0).backward()
+        self._attached_loss(enc, x, 0, 0).backward()
         attached = {n: p.grad for n, p in enc.named_parameters().items()}
         first = "encoder/backbone/0/w"
+        assert attached[first] is not None
         assert np.any(detached[first] != attached[first])
 
     @pytest.mark.parametrize("seed", range(20))
@@ -213,9 +216,9 @@ class TestPhase1Loss:
 
         def eval_loss():
             with no_grad():
-                return self._attached_loss(enc.phase1_forward(x, m), y).item()
+                return self._attached_loss(enc, x, m, y).item()
 
-        self._attached_loss(enc.phase1_forward(x, m), y).backward()
+        self._attached_loss(enc, x, m, y).backward()
         assert _spot_check_params(enc, eval_loss, SeededRng((seed, 3))) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
@@ -237,6 +240,143 @@ class TestPhase1Loss:
         loss = phase1_loss(enc.phase1_forward(x, m), y)
         loss.backward()
         assert _spot_check_params(enc, eval_loss, SeededRng((seed, 5))) < 1e-4
+
+
+class TestPhase1Node:
+    """A stage-1 item is one node, bitwise the node-by-node reference graph."""
+
+    @staticmethod
+    def twins(seed=7, **overrides):
+        cfg = small_config(num_classes=3, **overrides)
+        return Encoder(cfg, SeededRng(seed)), Encoder(cfg, SeededRng(seed))
+
+    def test_an_item_is_one_node_over_the_payload_and_every_parameter(self):
+        enc = make_encoder()
+        x = Tensor(SeededRng(1).normal(6))
+        loss = phase1_loss(enc.phase1_forward(x, 1), 0)
+        assert loss._bwd is not None
+        assert all(p._bwd is None for p in loss._parents)
+        assert set(map(id, loss._parents)) == {id(x), *map(id, enc.named_parameters().values())}
+
+    @pytest.mark.parametrize("m", range(3))
+    def test_loss_gradients_and_300_adam_steps_bitwise_the_reference(self, m):
+        fused, ref = self.twins()
+        opts = [Adam(e.named_parameters(), lr=1e-2) for e in (fused, ref)]
+        rng = SeededRng((m, "items"))
+        for step in range(300):
+            x, y = Tensor(rng.normal(6) * 3.0), int(rng.integers(0, 3))
+            a = phase1_loss(fused.phase1_forward(x, m), y)
+            b = phase1_graph_loss(phase1_graph(ref, x, m), y)
+            a.backward()
+            b.backward()
+            assert np.asarray(a.data).tobytes() == np.asarray(b.data).tobytes()
+            if step < 20:  # each parameter's gradient, not only the buffers they fill
+                for (name, p), q in zip(fused.named_parameters().items(),
+                                        ref.named_parameters().values()):
+                    assert p.grad.tobytes() == q.grad.tobytes(), name
+            assert opts[0]._grad.tobytes() == opts[1]._grad.tobytes()
+            for opt in opts:
+                opt.step()
+        assert opts[0].flat.tobytes() == opts[1].flat.tobytes()
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_payload_gradient_bitwise_the_reference(self, frozen):
+        fused, ref = self.twins(seed=3)
+        if frozen:
+            fused.freeze()
+            ref.freeze()
+        grads = []
+        for enc, loss_of in ((fused, lambda x: phase1_loss(fused.phase1_forward(x, 2), 1)),
+                             (ref, lambda x: phase1_graph_loss(phase1_graph(ref, x, 2), 1))):
+            x = Tensor(SeededRng(4).normal(6), requires_grad=True)
+            loss_of(x).backward()
+            grads.append([x.grad.tobytes()] + [None if p.grad is None else p.grad.tobytes()
+                                               for p in enc.named_parameters().values()])
+        assert grads[0] == grads[1]
+        assert all(g is None for g in grads[0][1:]) == frozen
+
+    def test_a_second_backward_without_clearing_is_an_error(self):
+        enc = make_encoder()
+        x = SeededRng(5).normal(6)
+        phase1_loss(enc.phase1_forward(x, 0), 1).backward()
+        with pytest.raises(ContractError, match="already has a gradient"):
+            phase1_loss(enc.phase1_forward(x, 0), 1).backward()
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_each_row_of_a_stack_bitwise_its_payload_alone(self, k):
+        enc, _ = self.twins(seed=k)
+        rng = SeededRng((k, "rows"))
+        xs = [rng.normal(6) for _ in range(k)]
+        ys = [int(rng.integers(0, 3)) for _ in range(k)]
+        with no_grad():
+            out = enc.phase1_forward(np.stack(xs), 1)
+            losses = phase1_loss(out, ys)
+            assert losses.shape == (k,) and out.backward is None
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                one = enc.phase1_forward(x, 1)
+                for field in ("z", "e", "z_rec", "y_pred"):
+                    assert getattr(out, field).data[i].tobytes() == getattr(one, field).data.tobytes()
+                assert losses.data[i].tobytes() == np.asarray(phase1_loss(one, y).data).tobytes()
+
+    def test_a_stack_that_would_record_is_rejected(self):
+        enc = make_encoder()
+        with pytest.raises(ContractError, match="only one payload is recorded"):
+            enc.phase1_forward(np.ones((2, 6)), 0)
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 7), (2, 2, 6)])
+    def test_a_payload_of_the_wrong_shape_rejected(self, shape):
+        enc = make_encoder()
+        with no_grad(), pytest.raises(ShapeError) as err:
+            enc.phase1_forward(np.ones(shape), 0)
+        assert str(err.value) == f"encoder expects payload width 6, got shape {shape}"
+
+    # parameter -> (index, value) writes; the error the first probe to see them raises
+    CORRUPTIONS = {
+        "backbone relu input -inf": ({"encoder/backbone/0/b": (0, -np.inf)}, "linear"),
+        "backbone final relu input -inf": ({"encoder/backbone/1/b": (0, -np.inf)}, "linear"),
+        "embedding row nan": ({"hypernet/embedding": ((1, 0), np.nan)}, "row"),
+        "generator relu input -inf": ({"hypernet/trunk/b": (0, -np.inf)}, "linear"),
+        "generated layer inf": ({"hypernet/head/b": (0, np.inf)}, "linear"),
+        "decoder relu input -inf": ({"encoder/decoder/0/b": (0, -np.inf)}, "linear"),
+        "decoder output inf": ({"encoder/decoder/1/b": (0, np.inf)}, "linear"),
+        "classifier output inf": ({"encoder/uniclassifier/b": (0, np.inf)}, "linear"),
+        "reconstruction overflows": ({"encoder/decoder/1/b": (slice(None), 1e200)}, "mse"),
+        "cross-entropy overflows": ({"encoder/uniclassifier/b": (slice(None), [1e308, -1e308, 0.0])},
+                                    "softmax_cross_entropy"),
+        "sum overflows": ({"encoder/decoder/1/b": (0, 1.2e154),
+                           "encoder/uniclassifier/b": (slice(None), [1.7e308, 0.0, 0.0])}, "add"),
+    }
+
+    @pytest.mark.parametrize("recording", [True, False], ids=["recording", "no_grad"])
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_every_probe_raises_as_in_the_reference(self, case, recording):
+        writes, op = self.CORRUPTIONS[case]
+        fused, ref = self.twins(seed=8)
+        for enc in (fused, ref):
+            params = enc.named_parameters()
+            for name, (index, value) in writes.items():
+                params[name].data[index] = value
+        x = SeededRng(9).normal(6)
+        errors = []
+        with np.errstate(over="ignore", invalid="ignore"), nullcontext() if recording else no_grad():
+            for loss_of in (lambda: phase1_loss(fused.phase1_forward(x, 1), 1),
+                            lambda: phase1_graph_loss(phase1_graph(ref, x, 1), 1)):
+                with pytest.raises(NumericError) as err:
+                    loss_of()
+                errors.append(str(err.value))
+        assert errors == [f"{op} produced non-finite values"] * 2
+
+    @pytest.mark.parametrize("label", [3, -1, 1.5, True, None])
+    def test_a_label_that_is_no_class_rejected_as_in_the_reference(self, label):
+        fused, ref = self.twins()
+        x = SeededRng(10).normal(6)
+        messages = []
+        for loss_of in (lambda: phase1_loss(fused.phase1_forward(x, 0), label),
+                        lambda: phase1_graph_loss(phase1_graph(ref, x, 0), label)):
+            with pytest.raises(ValueError) as err:
+                loss_of()
+            messages.append(str(err.value))
+        assert messages == [f"softmax_cross_entropy: class {label!r} is not an integer in [0, 3)"] * 2
 
 
 class TestPoolInstances:

@@ -4,10 +4,10 @@ import pytest
 from setfusion.hypernet import HyperNetwork, ModalityId
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, add, no_grad, reduce
+from setfusion.tensor import Tensor, no_grad, reduce
 
 from conftest import central_difference, rel_err
-from reference_ops import relu
+from reference_ops import add, relu
 
 
 def make_hyper(seed=0, d=3, d_z=5, d_l=4):

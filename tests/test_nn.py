@@ -5,9 +5,10 @@ from setfusion import nn, setnet
 from setfusion.nn import MLP, Dense, parameters
 from setfusion.optim import Adam
 from setfusion.rng import SeededRng
-from setfusion.tensor import Tensor, add, reduce
+from setfusion.tensor import Tensor, reduce
 
 from conftest import chained
+from reference_ops import add
 
 
 def test_parameters_keeps_part_order_and_names():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import setfusion
 from setfusion.errors import ContractError, NumericError, ShapeError
@@ -15,10 +16,11 @@ from setfusion.optim import Adam
 from setfusion.rng import SeededRng
 from setfusion.tensor import (
     Tensor,
-    add,
+    cross_entropy_forward,
+    dense_cross_entropy,
     dense_stack,
     linear,
-    mse,
+    mse_forward,
     no_grad,
     reduce,
     row,
@@ -29,7 +31,7 @@ from setfusion.tensor import (
 )
 
 from conftest import central_difference, chained, check_gradient, rel_err
-from reference_ops import relu
+from reference_ops import add, mse, relu
 
 
 class TestElementwise:
@@ -203,6 +205,99 @@ class TestSoftmax:
         e = np.exp(z[0] - z[0].max())
         assert softmax(z[0]).tobytes() == (e / e.sum()).tobytes()
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=1e-12)
+
+
+def _stacks(rows, width, scale):
+    """(k, n) float64 stacks with k and n drawn from `rows` and `width`."""
+    elements = st.floats(-scale, scale, allow_subnormal=False)
+    return st.tuples(rows, width).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=elements))
+
+
+class TestLossRows:
+    """The row forms of the loss helpers: row i bitwise the 1d call on row i."""
+
+    @given(_stacks(st.integers(1, 6), st.integers(1, 40), 1e3).flatmap(
+        lambda a: st.tuples(st.just(a), hnp.arrays(np.float64, a.shape,
+                                                    elements=st.floats(-1e3, 1e3)))))
+    @settings(max_examples=30, deadline=None)
+    def test_mse_rows(self, pair):
+        a, b = pair
+        value, diff = mse_forward(a, b)
+        assert value.shape == (a.shape[0],)
+        for i in range(a.shape[0]):
+            one, one_diff = mse_forward(a[i], b[i])
+            assert one.shape == ()
+            assert value[i].tobytes() == one.tobytes() and diff[i].tobytes() == one_diff.tobytes()
+
+    @given(_stacks(st.integers(1, 6), st.integers(2, 12), 60.0).flatmap(
+        lambda z: st.tuples(st.just(z), st.lists(st.integers(0, z.shape[1] - 1),
+                                                 min_size=z.shape[0], max_size=z.shape[0]))))
+    @settings(max_examples=30, deadline=None)
+    def test_cross_entropy_rows(self, case):
+        z, targets = case
+        loss, exps, total = cross_entropy_forward(z, targets)
+        assert loss.shape == (z.shape[0],)
+        for i, t in enumerate(targets):
+            one, one_exps, one_total = cross_entropy_forward(z[i], t)
+            assert loss[i].tobytes() == one.tobytes()
+            assert exps[i].tobytes() == one_exps.tobytes() and total[i] == one_total
+            assert one.tobytes() == softmax_cross_entropy(Tensor(z[i]), t).data.tobytes()
+
+    def test_a_class_count_that_is_not_the_row_count_rejected(self):
+        with pytest.raises(ShapeError, match="2 classes for 3 rows"):
+            cross_entropy_forward(np.zeros((3, 2)), [0, 1])
+
+    @pytest.mark.parametrize("bad", [2, 1.0, True])
+    def test_each_row_class_checked(self, bad):
+        with pytest.raises(ValueError) as err:
+            cross_entropy_forward(np.zeros((3, 2)), [0, bad, 1])
+        assert str(err.value) == f"softmax_cross_entropy: class {bad!r} is not an integer in [0, 2)"
+
+
+class TestDenseCrossEntropy:
+    """ρ and its cross-entropy as one node, bitwise the two nodes."""
+
+    @pytest.mark.parametrize("x_takes_grad", [False, True])
+    @pytest.mark.parametrize("widths", [[6, 8, 5, 3], [16, 32, 16, 2], [4, 2]],
+                             ids=lambda w: "x".join(map(str, w)))
+    def test_loss_and_every_gradient_bitwise_the_two_nodes(self, widths, x_takes_grad):
+        rng = SeededRng((tuple(widths), x_takes_grad))
+        pairs = TestDenseStack.weights(widths, rng, False)
+        x0, target = rng.normal(widths[0]), widths[-1] - 1
+        results = []
+        for fused in (True, False):
+            layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in pairs]
+            x = Tensor(x0, requires_grad=x_takes_grad)
+            loss = (dense_cross_entropy(x, layers, target) if fused
+                    else softmax_cross_entropy(dense_stack(x, layers), target))
+            loss.backward()
+            results.append([loss.data.tobytes(), x_takes_grad and x.grad.tobytes()]
+                           + [t.grad.tobytes() for pair in layers for t in pair])
+        assert results[0] == results[1]
+
+    def test_one_node(self):
+        layers = [(Tensor(np.eye(2), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))]
+        loss = dense_cross_entropy(Tensor([1.0, 2.0]), layers, 0)
+        assert loss._bwd is not None and all(p._bwd is None for p in loss._parents)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_each_row_of_a_stack_bitwise_its_row_alone(self, k):
+        rng = SeededRng(k)
+        layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+                  for w, b in TestDenseStack.weights([6, 8, 3], rng, False)]
+        xs = rng.normal((k, 6))
+        targets = [i % 3 for i in range(k)]
+        with no_grad():
+            losses = dense_cross_entropy(Tensor(xs), layers, targets)
+            assert losses.shape == (k,) and losses._bwd is None
+            for i, t in enumerate(targets):
+                assert losses.data[i].tobytes() == dense_cross_entropy(Tensor(xs[i]), layers, t).data.tobytes()
+
+    def test_a_stack_that_would_record_is_rejected(self):
+        layers = [(Tensor(np.eye(2), requires_grad=True), Tensor(np.zeros(2)))]
+        with pytest.raises(ContractError, match="stack takes gradient"):
+            dense_cross_entropy(Tensor(np.ones((2, 2))), layers, [0, 1])
 
 
 class TestShapeOps:

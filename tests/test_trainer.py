@@ -9,6 +9,7 @@ from setfusion.encoder import Encoder, parameter_checksum, phase1_loss
 from setfusion.errors import ContractError
 from setfusion.hypernet import HyperNetwork
 from setfusion.metrics import accuracy_only, compute_metrics
+from setfusion.nn import parameters
 from setfusion.rng import SeededRng
 from setfusion.setnet import SetClassifier, SetObservation, phase2_loss, pool_sets, predict_proba
 from setfusion.tensor import Tensor, softmax, softmax_cross_entropy
@@ -299,6 +300,84 @@ class TestCachedPhase2:
         assert steps == []
 
 
+class TestStackedValidation:
+    """Each phase's one-pass validation reports, bitwise, what one `item_loss`
+    call per validation item reports."""
+
+    @staticmethod
+    def per_item(monkeypatch):
+        """Make the trainer's phases call `train_loop` without their `list_loss`."""
+        loop = trainer.train_loop
+        monkeypatch.setattr(trainer, "train_loop", lambda *args: loop(*args[:8]))
+
+    @staticmethod
+    def fit_twice(monkeypatch, fit):
+        stacked = fit()
+        TestStackedValidation.per_item(monkeypatch)
+        reference = fit()
+        assert stacked[0].val_losses  # both ran a validation pass
+        assert stacked[0].to_dict() == reference[0].to_dict()
+        assert np.array(stacked[0].val_losses).tobytes() == np.array(reference[0].val_losses).tobytes()
+        assert stacked[1] == reference[1]
+
+    def test_phase1(self, monkeypatch):
+        schema, masked = tiny_dataset(n=40, seed=3, rate=0.5, bags=(1,))
+        cfg = small_cfg(seed=3, max_epochs_phase1=3)
+        items = collect_phase1_items(masked, schema)
+        assert {m for _, m, _ in items[50:]} == {0, 1}  # both modalities in the validation pass
+
+        def fit():
+            enc = Encoder(cfg.encoder_config(schema), SeededRng(3))
+            report = train_phase1(enc, items[:50], items[50:], cfg)
+            return report, parameter_checksum(enc.named_parameters())
+
+        self.fit_twice(monkeypatch, fit)
+
+    @pytest.mark.parametrize("aggregator", ["sum", "max"])
+    def test_phase2(self, monkeypatch, aggregator):
+        enc, train_sets, val_sets = _frozen_bag_sets()
+        cfg = small_cfg(seed=12, max_epochs_phase2=3, aggregator=aggregator)
+
+        def fit():
+            model = SetClassifier(cfg.d_l, 2, SeededRng(13), hidden=cfg.rho_hidden,
+                                  aggregator=aggregator)
+            report = train_phase2(model, enc, train_sets, val_sets, cfg)
+            return report, parameter_checksum(model.named_parameters())
+
+        self.fit_twice(monkeypatch, fit)
+
+    def test_joint(self, monkeypatch):
+        schema, masked = tiny_dataset(n=30, seed=4, rate=0.5, bags=(1,))
+        cfg = small_cfg(seed=4, max_epochs_phase2=3, two_steps=False)
+        sets = [to_set(s, schema) for s in masked]
+
+        def fit():
+            enc = Encoder(cfg.encoder_config(schema), SeededRng(4))
+            model = SetClassifier(cfg.d_l, 2, SeededRng(5), hidden=cfg.rho_hidden)
+            report = train_joint(model, enc, sets[:20], sets[20:], cfg)
+            return report, parameter_checksum(parameters(enc.backbone, enc.hypernet, model))
+
+        self.fit_twice(monkeypatch, fit)
+
+    def test_joint_validation_generates_each_layer_once_per_pass(self, monkeypatch):
+        schema, masked = tiny_dataset(n=30, seed=4, rate=0.5, bags=(1,))
+        cfg = small_cfg(seed=4, max_epochs_phase2=1, two_steps=False)
+        sets = [to_set(s, schema) for s in masked]
+        calls = []
+        generate = HyperNetwork.generate_weights
+        monkeypatch.setattr(HyperNetwork, "generate_weights",
+                            lambda net, m: calls.append(m) or generate(net, m))
+        enc = Encoder(cfg.encoder_config(schema), SeededRng(4))
+        model = SetClassifier(cfg.d_l, 2, SeededRng(5), hidden=cfg.rho_hidden)
+        for obs in sets[:20]:
+            phase2_loss(model, enc, obs)
+        per_train_pass = len(calls)
+        calls.clear()
+        train_joint(model, enc, sets[:20], sets[20:], cfg)
+        modalities = {m.index for obs in sets[20:] for _, m in obs.elements}
+        assert len(calls) == per_train_pass + len(modalities)
+
+
 class TestJointLabels:
     @pytest.mark.parametrize("stream", ["training", "validation"])
     def test_unlabeled_set_rejected_before_any_step(self, stream):
@@ -567,16 +646,16 @@ class TestGraphSize:
         self.enc = Encoder(self.cfg.encoder_config(schema), SeededRng(1))
         self.x = Tensor(SeededRng(2).normal(schema.payload_width))
 
-    def test_stage1_item_is_11_nodes(self):
-        # backbone, row, generator, 2 head segments, conditional linear,
-        # decoder, unimodal classifier, mse, cross-entropy, add
+    def test_stage1_item_is_1_node(self):
+        # backbone, generator, conditional layer, decoder, unimodal
+        # classifier and both loss terms: one node
         loss = phase1_loss(self.enc.phase1_forward(self.x, 1), 0)
-        assert graph_nodes(loss) == 11
+        assert graph_nodes(loss) == 1
 
-    def test_rho_step_is_2_nodes(self):
+    def test_rho_step_is_1_node(self):
         model = SetClassifier(self.cfg.d_l, 2, SeededRng(3), hidden=self.cfg.rho_hidden)
         latent = Tensor(SeededRng(4).normal(self.cfg.d_l))  # a pooled latent is a constant
-        assert graph_nodes(softmax_cross_entropy(model.rho(latent), 1)) == 2
+        assert graph_nodes(model.rho_loss(latent, 1)) == 1
 
     def test_trainable_phi_is_5_nodes(self):
         # row, generator, 2 head segments, and φ itself: backbone and
