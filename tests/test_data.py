@@ -540,7 +540,7 @@ class TestContainer:
 
 
 class TestWriteContainer:
-    @pytest.mark.parametrize("header", [{"a": np.int64(1)}, {"a": float("nan")} | {"b": object()},
+    @pytest.mark.parametrize("header", [{"a": np.int64(1)}, {"b": object()},
                                         {(1, 2): 3}])
     def test_header_json_cannot_encode_rejected_before_the_file_opens(self, tmp_path, header):
         path = tmp_path / "out.bin"
